@@ -8,13 +8,14 @@
 //! emits the machine-readable `BENCH_repro.json` timing report.
 
 use d16_bench::harness::bench;
-use d16_core::{base_specs, experiments as ex, standard_specs, Suite};
+use d16_core::{base_specs, default_jobs, experiments as ex, standard_specs, Plan, Suite};
 use std::hint::black_box;
 
 fn subset(names: &[&str], full_grid: bool, traces: bool) -> Suite {
     let ws: Vec<_> = names.iter().map(|n| d16_workloads::by_name(n).unwrap()).collect();
     let specs = if full_grid { standard_specs() } else { base_specs().to_vec() };
-    Suite::collect_for(&ws, &specs, traces).expect("collect")
+    let plan = Plan { trace: traces, ..Plan::default() };
+    Suite::collect(&plan, &ws, &specs, default_jobs()).expect("collect")
 }
 
 /// Figures 4/5 and Tables 6/7: density and path length.

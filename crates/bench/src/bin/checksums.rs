@@ -1,9 +1,11 @@
 //! Prints each workload's checksum on the D16 target (used to pin the
 //! `expected` values in `d16-workloads`), extras included.
 
+use d16_core::{Plan, Source};
+
 fn main() {
     for w in d16_workloads::SUITE.iter().chain(d16_workloads::EXTRAS) {
-        match d16_core::measure(w, &d16_cc::TargetSpec::d16(), false) {
+        match (Plan { source: Source::Workload(w), ..Plan::default() }).measure() {
             Ok((m, _)) => println!("{}: {}", w.name, m.exit),
             Err(e) => println!("{}: ERROR {e}", w.name),
         }

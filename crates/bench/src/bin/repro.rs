@@ -52,7 +52,7 @@ use d16_bench::json::Json;
 use d16_bench::report;
 use d16_core::report::{f2, f3, pct, Table};
 use d16_core::suite::standard_specs;
-use d16_core::{base_specs, default_jobs, experiments as ex, Engine, Suite};
+use d16_core::{base_specs, default_jobs, experiments as ex, Engine, Plan, Source, Suite};
 use d16_isa::Isa;
 use d16_sim::{PipelineSpec, Predictor, PIPELINE_DEPTHS};
 use d16_store::Store;
@@ -282,29 +282,18 @@ fn main() {
     } else {
         Vec::new()
     };
+    // One plan for every cell of the run: the grid collections fill in
+    // each workload and target, the experiments their own.
+    let plan =
+        Plan { pipeline: pspec, engine, trace: true, store: store.clone(), ..Plan::default() };
+    let paper: Vec<&Workload> = d16_workloads::SUITE.iter().collect();
     let collect = |jobs: usize| {
         if smoke {
-            Suite::collect_for_jobs_stored_spec(
-                &smoke_workloads,
-                &base_specs(),
-                true,
-                jobs,
-                store.clone(),
-                engine,
-                pspec,
-            )
+            Suite::collect(&plan, &smoke_workloads, &base_specs(), jobs)
         } else if !only_workloads.is_empty() {
-            Suite::collect_for_jobs_stored_spec(
-                &only_workloads,
-                &standard_specs(),
-                true,
-                jobs,
-                store.clone(),
-                engine,
-                pspec,
-            )
+            Suite::collect(&plan, &only_workloads, &standard_specs(), jobs)
         } else {
-            Suite::collect_jobs_stored_spec(jobs, store.clone(), engine, pspec)
+            Suite::collect(&plan, &paper, &standard_specs(), jobs)
         }
     };
     if smoke {
@@ -340,14 +329,11 @@ fn main() {
             extras.len()
         );
         let xstart = Instant::now();
-        match Suite::collect_for_jobs_stored_spec(
+        match Suite::collect(
+            &Plan { trace: false, ..plan.clone() },
             &extras,
             &standard_specs(),
-            false,
             jobs,
-            store.clone(),
-            engine,
-            pspec,
         ) {
             Ok(s) => {
                 eprintln!("collected in {:.1}s", xstart.elapsed().as_nanos() as f64 / 1e9);
@@ -413,14 +399,14 @@ fn main() {
         }
     }
     for t in &tables {
-        for (w, reason) in print_table(&suite, *t, store.as_deref()) {
+        for (w, reason) in print_table(&suite, *t, &plan) {
             let target = format!("table {t}");
             eprintln!("skipped ({w}, {target}): {reason}");
             skips.push((w, target, reason));
         }
     }
     if fpu_sweep || all {
-        for (w, reason) in print_fpu_sweep(store.as_deref()) {
+        for (w, reason) in print_fpu_sweep(&plan) {
             eprintln!("skipped ({w}, fpu sweep): {reason}");
             skips.push((w, "fpu sweep".to_string(), reason));
         }
@@ -432,7 +418,7 @@ fn main() {
     // blocks of a regenerated results.txt stay byte-identical to runs
     // that predate the sweep.
     if pipeline_sweep || all {
-        for (w, reason) in print_pipeline_sweep(store.as_deref()) {
+        for (w, reason) in print_pipeline_sweep(&plan) {
             eprintln!("skipped ({w}, pipeline sweep): {reason}");
             skips.push((w, "pipeline sweep".to_string(), reason));
         }
@@ -569,13 +555,19 @@ fn fault_skip(e: &d16_core::SuiteError) -> bool {
     !matches!(e, SuiteError::MissingCell { .. } | SuiteError::MissingTrace { .. })
 }
 
+/// `plan` on the named workload.
+fn workload_plan<'a>(plan: &Plan<'a>, name: &str) -> Result<Plan<'a>, String> {
+    let w = d16_workloads::by_name(name).ok_or_else(|| format!("no workload {name}"))?;
+    Ok(Plan { source: Source::Workload(w), ..plan.clone() })
+}
+
 /// Extension beyond the paper: how sensitive is the comparison to the FPU
 /// ("math unit") latency the prototype interface fixes? Returns the
 /// `(workload, reason)` of every sweep that had to be skipped.
-fn print_fpu_sweep(store: Option<&Store>) -> Vec<(String, String)> {
+fn print_fpu_sweep(plan: &Plan) -> Vec<(String, String)> {
     let mut skips = Vec::new();
     for w in ["whetstone", "linpack"] {
-        match ex::fpu_latency_sweep_stored(w, store) {
+        match workload_plan(plan, w).and_then(|p| p.fpu_sweep()) {
             Ok(points) => {
                 let mut t = Table::new(
                     &format!("Extension: FPU-latency sensitivity, {w} (base cycles)"),
@@ -602,10 +594,10 @@ fn print_fpu_sweep(store: Option<&Store>) -> Vec<(String, String)> {
 /// Extension beyond the paper: retime every standard target across the
 /// pipeline depth × predictor grid (one interpreter pass per target; see
 /// DESIGN.md §14). Returns the `(workload, reason)` of skipped sweeps.
-fn print_pipeline_sweep(store: Option<&Store>) -> Vec<(String, String)> {
+fn print_pipeline_sweep(plan: &Plan) -> Vec<(String, String)> {
     let mut skips = Vec::new();
     for w in ["towers", "assem"] {
-        match ex::pipeline_sweep_stored(w, store) {
+        match workload_plan(plan, w).and_then(|p| p.pipeline_sweep()) {
             Ok(rows) => {
                 for row in &rows {
                     let mut t = Table::new(
@@ -946,7 +938,7 @@ fn print_fig(suite: &Suite, n: u32) -> Vec<(String, String)> {
 
 /// Prints one table; returns the `(workload, reason)` of every
 /// fault-caused skip (see [`fault_skip`]).
-fn print_table(suite: &Suite, n: u32, store: Option<&Store>) -> Vec<(String, String)> {
+fn print_table(suite: &Suite, n: u32, plan: &Plan) -> Vec<(String, String)> {
     let mut skips = Vec::new();
     let out = match n {
         3 => {
@@ -965,7 +957,7 @@ fn print_table(suite: &Suite, n: u32, store: Option<&Store>) -> Vec<(String, Str
             t.row(vec!["AVERAGE".into(), pct(a / nrows), pct(b / nrows)]);
             t.render()
         }
-        4 => match ex::table4_immediate_profile_stored(store) {
+        4 => match plan.table4() {
             Ok(t4) => {
                 let mut t = Table::new(
                     "Table 4: average immediate-field instruction frequencies",

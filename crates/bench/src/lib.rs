@@ -60,7 +60,7 @@ pub mod harness {
         m
     }
 
-    /// Like [`bench`] but tags the measurement with an element count so
+    /// Like [`bench()`] but tags the measurement with an element count so
     /// the summary line includes a throughput figure.
     pub fn bench_throughput<T>(
         name: &str,
@@ -74,7 +74,7 @@ pub mod harness {
         m
     }
 
-    /// [`bench`] without the summary line, for callers that render their
+    /// [`bench()`] without the summary line, for callers that render their
     /// own report (the `repro` binary's JSON output).
     pub fn quiet_bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> Measurement {
         assert!(iters > 0, "iters must be positive");

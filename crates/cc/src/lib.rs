@@ -44,7 +44,7 @@ pub use target::TargetSpec;
 pub use token::CError;
 
 use d16_asm::{AsmError, Image};
-use d16_store::{CacheKey, StableHasher, Store};
+use d16_store::{CacheKey, StableHasher};
 
 /// Version tag folded into every [`build_key`]. Bump whenever the
 /// compiler changes observable output for any input, so stale
@@ -66,6 +66,23 @@ pub enum OptLevel {
     /// The full optimization pipeline.
     #[default]
     O2,
+}
+
+impl OptLevel {
+    /// The level's name: `O0` or `O2`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::O0 => "O0",
+            OptLevel::O2 => "O2",
+        }
+    }
+
+    /// Parses a name; inverse of [`OptLevel::name`].
+    #[must_use]
+    pub fn parse(s: &str) -> Option<OptLevel> {
+        [OptLevel::O0, OptLevel::O2].into_iter().find(|o| o.name() == s)
+    }
 }
 
 /// Compiles Mini-C sources (plus the runtime library) to one assembly
@@ -203,36 +220,6 @@ pub fn build_key(sources: &[&str], spec: &TargetSpec) -> CacheKey {
         h.field_str(src);
     }
     h.finish()
-}
-
-/// Store kind under which linked images are filed (shared with the
-/// `d16-core` measurement layer, which needs images for trace decoding).
-pub const IMAGE_KIND: &str = "image";
-
-/// [`compile_to_image`] through a `d16-store`: serves the linked image
-/// from `store` when an intact entry exists for [`build_key`], otherwise
-/// compiles and commits the result. With `store` `None` this is exactly
-/// `compile_to_image`.
-///
-/// # Errors
-///
-/// Same as [`compile_to_image`]; store failures never surface (a damaged
-/// or unwritable store degrades to recompilation).
-pub fn compile_to_image_stored(
-    sources: &[&str],
-    spec: &TargetSpec,
-    store: Option<&Store>,
-) -> Result<Image, BuildError> {
-    let Some(store) = store else {
-        return compile_to_image(sources, spec);
-    };
-    let key = build_key(sources, spec);
-    if let Some(img) = store.get_with(IMAGE_KIND, key, d16_asm::codec::decode_image) {
-        return Ok(img);
-    }
-    let img = compile_to_image(sources, spec)?;
-    store.put(IMAGE_KIND, key, &d16_asm::codec::encode_image(&img));
-    Ok(img)
 }
 
 #[cfg(test)]
@@ -588,36 +575,6 @@ int main(void) { return work(32) & 0xFF; }";
             d16.text.len(),
             dlxe.text.len()
         );
-    }
-
-    #[test]
-    fn stored_compile_serves_identical_images() {
-        let dir = d16_testkit::TempDir::new("cc-store");
-        let store = d16_store::Store::open(dir.path()).unwrap();
-        let src = "int main(void) { return 6 * 7; }";
-        for spec in [TargetSpec::d16(), TargetSpec::dlxe()] {
-            let cold = compile_to_image_stored(&[src], &spec, Some(&store)).unwrap();
-            let warm = compile_to_image_stored(&[src], &spec, Some(&store)).unwrap();
-            let direct = compile_to_image(&[src], &spec).unwrap();
-            assert_eq!(warm.text, cold.text);
-            assert_eq!(warm.data, cold.data);
-            assert_eq!(warm.text, direct.text, "cached image matches a fresh compile");
-            assert_eq!(warm.symbols, direct.symbols);
-        }
-        let s = store.stats();
-        assert_eq!((s.hit, s.miss, s.write), (2, 2, 2));
-
-        // Damage one entry: the next lookup recompiles instead of serving it.
-        let key = build_key(&[src], &TargetSpec::d16());
-        let path = store.entry_path(IMAGE_KIND, key);
-        let mut raw = std::fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x40;
-        std::fs::write(&path, raw).unwrap();
-        let again = compile_to_image_stored(&[src], &TargetSpec::d16(), Some(&store)).unwrap();
-        let direct = compile_to_image(&[src], &TargetSpec::d16()).unwrap();
-        assert_eq!(again.text, direct.text);
-        assert_eq!(store.stats().corrupt_evicted, 1);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! the paper (see DESIGN.md §5 for the index).
 
 use crate::measure::Measurement;
+use crate::plan::{Plan, Source};
+use crate::stored;
 use crate::suite::{Suite, SuiteError};
 use d16_cc::TargetSpec;
 use d16_isa::{EncodingParams, Insn, Isa};
-use d16_mem::{CacheConfig, CacheSystem};
-use d16_sim::{AccessSink, Machine, NullSink};
+use d16_mem::{CacheBank, CacheConfig};
+use d16_sim::{AccessSink, Machine, NullSink, TraceRecorder};
 use d16_workloads::SUITE;
 use std::collections::BTreeMap;
 
@@ -25,14 +27,10 @@ pub struct RatioRow {
     pub value: f64,
 }
 
-fn mean(rows: &[RatioRow]) -> f64 {
-    rows.iter().map(|r| r.value).sum::<f64>() / rows.len() as f64
-}
-
 /// Geometric-free arithmetic mean of a figure's bars (the paper reports
 /// arithmetic averages).
 pub fn average(rows: &[RatioRow]) -> f64 {
-    mean(rows)
+    rows.iter().map(|r| r.value).sum::<f64>() / rows.len() as f64
 }
 
 /// The (D16, unrestricted DLXe) cell pair for one workload, or `None`
@@ -192,6 +190,7 @@ impl Table4 {
     }
 }
 
+#[derive(Default)]
 struct ClassifySink {
     decoded: Vec<Option<Insn>>,
     text_base: u32,
@@ -218,76 +217,73 @@ impl AccessSink for ClassifySink {
     fn write(&mut self, _a: u32, _b: u8) {}
 }
 
-/// Computes Table 4 (averaged over the suite) by re-running each workload
-/// on `DLXe/16/2` with a classifying fetch sink.
+/// The machine Table 4 classifies on: `DLXe/16/2`, whose immediates and
+/// displacements are the ones a D16 field might not hold.
+pub(crate) fn table4_target() -> TargetSpec {
+    TargetSpec::dlxe_restricted(true, true, false)
+}
+
+/// Computes Table 4 (averaged over the suite) with the default plan: no
+/// store. [`Plan::table4`] is the same operation under any plan.
 ///
 /// # Errors
 ///
 /// Propagates build/run failures with the workload name.
 pub fn table4_immediate_profile() -> Result<Table4, (String, String)> {
-    table4_immediate_profile_stored(None)
+    Plan::default().table4()
 }
 
-/// [`table4_immediate_profile`] through an optional `d16-store`: each
-/// workload's raw classification counts are cached, and the averaged
-/// percentages are recomputed from them identically either way.
-///
-/// # Errors
-///
-/// Propagates build/run failures with the workload name.
-pub fn table4_immediate_profile_stored(
-    store: Option<&d16_store::Store>,
-) -> Result<Table4, (String, String)> {
-    let spec = TargetSpec::dlxe_restricted(true, true, false);
-    let mut acc = Table4::default();
-    let mut n = 0usize;
-    for w in SUITE {
-        let (cmp, alu, mem, total) = table4_counts(w, &spec, store)?;
-        let t = total as f64;
-        acc.cmp_imm_pct += cmp as f64 / t * 100.0;
-        acc.alu_imm_pct += alu as f64 / t * 100.0;
-        acc.mem_disp_pct += mem as f64 / t * 100.0;
-        n += 1;
-    }
-    acc.cmp_imm_pct /= n as f64;
-    acc.alu_imm_pct /= n as f64;
-    acc.mem_disp_pct /= n as f64;
-    Ok(acc)
-}
-
-/// One workload's `(cmp, alu, mem, total)` classification counts on the
-/// restricted machine, served from the store when possible.
-fn table4_counts(
-    w: &d16_workloads::Workload,
-    spec: &TargetSpec,
-    store: Option<&d16_store::Store>,
-) -> Result<(u64, u64, u64, u64), (String, String)> {
-    let at = store.map(|s| (s, crate::stored::table4_key(w)));
-    if let Some((s, key)) = at {
-        if let Some(counts) =
-            s.get_with(crate::stored::TABLE4_KIND, key, crate::stored::decode_table4)
-        {
-            return Ok(counts);
+impl Plan<'_> {
+    /// Table 4: re-runs every suite workload on `DLXe/16/2` (on the
+    /// reference interpreter) with a classifying fetch sink, and averages
+    /// the per-workload percentages. The plan supplies the opt level,
+    /// the fuel and the store; its source and target are replaced. With
+    /// a store, each workload's raw counts are cached, and the averages
+    /// are recomputed from them identically either way.
+    ///
+    /// # Errors
+    ///
+    /// Propagates build/run failures with the workload name.
+    pub fn table4(&self) -> Result<Table4, (String, String)> {
+        let mut acc = Table4::default();
+        for w in SUITE {
+            let cell =
+                Plan { source: Source::Workload(w), target: table4_target(), ..self.clone() };
+            let (cmp, alu, mem, total) =
+                cell.table4_counts().map_err(|e| (w.name.to_string(), e))?;
+            let t = total as f64;
+            acc.cmp_imm_pct += cmp as f64 / t * 100.0;
+            acc.alu_imm_pct += alu as f64 / t * 100.0;
+            acc.mem_disp_pct += mem as f64 / t * 100.0;
         }
+        let n = SUITE.len() as f64;
+        acc.cmp_imm_pct /= n;
+        acc.alu_imm_pct /= n;
+        acc.mem_disp_pct /= n;
+        Ok(acc)
     }
-    let image = crate::measure::build_stored(w, spec, store)
-        .map_err(|e| (w.name.to_string(), e.to_string()))?;
-    let decoded: Vec<Option<Insn>> = image
-        .text
-        .chunks_exact(4)
-        .map(|c| {
-            d16_isa::dlxe::decode(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))).ok()
-        })
-        .collect();
-    let mut sink =
-        ClassifySink { decoded, text_base: image.text_base, cmp: 0, alu: 0, mem: 0, total: 0 };
-    let mut m = Machine::load(&image);
-    m.run(crate::measure::FUEL, &mut sink).map_err(|e| (w.name.to_string(), e.to_string()))?;
-    let counts = (sink.cmp, sink.alu, sink.mem, sink.total);
-    if let Some((s, key)) = at {
-        s.put(crate::stored::TABLE4_KIND, key, &crate::stored::encode_table4(counts));
+
+    /// One workload's `(cmp, alu, mem, total)` classification counts,
+    /// served from the store when possible.
+    fn table4_counts(&self) -> Result<(u64, u64, u64, u64), String> {
+        let classify = || {
+            let image = self.build().map_err(|e| e.to_string())?;
+            let decoded: Vec<Option<Insn>> = image
+                .text
+                .chunks_exact(4)
+                .map(|c| {
+                    d16_isa::dlxe::decode(u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                        .ok()
+                })
+                .collect();
+            let mut sink =
+                ClassifySink { decoded, text_base: image.text_base, ..Default::default() };
+            let mut m = Machine::load(&image);
+            m.run(self.fuel, &mut sink).map_err(|e| e.to_string())?;
+            Ok((sink.cmp, sink.alu, sink.mem, sink.total))
+        };
+        self.through_store(&stored::TABLE4, classify)
     }
-    Ok(counts)
 }
 
 /// Figure 13: instruction traffic and static size, DLXe/D16 (tests
@@ -471,26 +467,18 @@ pub fn cache_grid_index(size: u32, block: u32) -> Result<usize, SuiteError> {
     }
 }
 
-/// Replays a recorded trace through the paper's split I/D caches.
-///
-/// This is the legacy one-configuration-per-sweep path; the experiments
-/// read from the single-pass [`Suite::cache_grid`] instead, and a test
-/// asserts the two agree bit-for-bit.
+/// The grid sweep: one pass of a recorded trace through a
+/// [`CacheBank`] holding every configuration of [`cache_grid_configs`].
+/// [`Suite::cache_grid`] and `d16-serve`'s sweep requests both read their
+/// cache systems from here.
 ///
 /// # Errors
 ///
-/// [`SuiteError::MissingTrace`] if the trace was never recorded.
-pub fn replay_cache(
-    suite: &Suite,
-    workload: &str,
-    isa: Isa,
-    icfg: CacheConfig,
-    dcfg: CacheConfig,
-) -> Result<CacheSystem, SuiteError> {
-    let mut cs = CacheSystem::new(icfg, dcfg)
-        .map_err(|source| SuiteError::Config { context: "cache replay".to_string(), source })?;
-    suite.try_trace(workload, isa)?.replay(&mut cs);
-    Ok(cs)
+/// A configuration the cache model rejects.
+pub fn cache_grid_sweep(trace: &TraceRecorder) -> Result<CacheBank, d16_mem::ConfigError> {
+    let mut bank = CacheBank::symmetric(&cache_grid_configs())?;
+    trace.replay(&mut bank);
+    Ok(bank)
 }
 
 /// One miss-rate point for Figure 16.
@@ -744,58 +732,51 @@ pub struct FpuSweepPoint {
     pub dlxe_rate: f64,
 }
 
-/// Sensitivity of the D16/DLXe comparison to FPU ("math unit") latency —
-/// the interface the paper simplifies for its prototype. Re-runs one FP
-/// workload with multiply latencies 1–16 on both machines.
-///
-/// The paper's conclusion is robust if the cycle *ratio* stays stable:
-/// both encodings issue the same FP operations, so latency cancels.
-///
-/// # Errors
-///
-/// Propagates build/run failures with a description.
-pub fn fpu_latency_sweep(workload: &str) -> Result<Vec<FpuSweepPoint>, String> {
-    fpu_latency_sweep_stored(workload, None)
-}
-
-/// [`fpu_latency_sweep`] through an optional `d16-store`: the five sweep
-/// points are cached per workload, with rates restored bit-exactly.
-///
-/// # Errors
-///
-/// Propagates build/run failures with a description.
-pub fn fpu_latency_sweep_stored(
-    workload: &str,
-    store: Option<&d16_store::Store>,
-) -> Result<Vec<FpuSweepPoint>, String> {
-    let w = d16_workloads::by_name(workload).ok_or_else(|| format!("no workload {workload}"))?;
-    let at = store.map(|s| (s, crate::stored::fpu_key(w)));
-    if let Some((s, key)) = at {
-        if let Some(points) = s.get_with(crate::stored::FPU_KIND, key, crate::stored::decode_fpu) {
-            return Ok(points);
-        }
-    }
-    let d16_image =
-        crate::measure::build_stored(w, &TargetSpec::d16(), store).map_err(|e| e.to_string())?;
-    let dlxe_image =
-        crate::measure::build_stored(w, &TargetSpec::dlxe(), store).map_err(|e| e.to_string())?;
-    let mut out = Vec::new();
-    for mul in [1u64, 2, 4, 8, 16] {
-        let lat = d16_sim::FpuLatency { add: 2, mul, div_s: mul * 3, div_d: mul * 3 + 4, cvt: 2 };
-        let run = |image: &d16_asm::Image| -> Result<(u64, f64), String> {
-            let mut m = Machine::load(image);
-            m.set_fpu_latency(lat);
-            m.run(crate::measure::FUEL, &mut NullSink).map_err(|e| e.to_string())?;
-            Ok((m.stats().base_cycles(), m.stats().interlock_rate()))
+impl Plan<'_> {
+    /// Sensitivity of the D16/DLXe comparison to FPU ("math unit")
+    /// latency — the interface the paper simplifies for its prototype.
+    /// Re-runs the plan's source with multiply latencies 1–16 on both
+    /// unrestricted machines (on the reference interpreter, default
+    /// pipeline). The plan supplies the source, opt level, fuel and
+    /// store; with a store, the five points are cached and their rates
+    /// restored bit-exactly.
+    ///
+    /// The paper's conclusion is robust if the cycle *ratio* stays
+    /// stable: both encodings issue the same FP operations, so latency
+    /// cancels.
+    ///
+    /// # Errors
+    ///
+    /// Propagates build/run failures with a description.
+    pub fn fpu_sweep(&self) -> Result<Vec<FpuSweepPoint>, String> {
+        let sweep = || {
+            let build = |target| Plan { target, ..self.clone() }.build().map_err(|e| e.to_string());
+            let d16_image = build(TargetSpec::d16())?;
+            let dlxe_image = build(TargetSpec::dlxe())?;
+            let mut out = Vec::new();
+            for mul in [1u64, 2, 4, 8, 16] {
+                let lat =
+                    d16_sim::FpuLatency { add: 2, mul, div_s: mul * 3, div_d: mul * 3 + 4, cvt: 2 };
+                let run = |image: &d16_asm::Image| -> Result<(u64, f64), String> {
+                    let mut m = Machine::load(image);
+                    m.set_fpu_latency(lat);
+                    m.run(self.fuel, &mut NullSink).map_err(|e| e.to_string())?;
+                    Ok((m.stats().base_cycles(), m.stats().interlock_rate()))
+                };
+                let (d16_cycles, d16_rate) = run(&d16_image)?;
+                let (dlxe_cycles, dlxe_rate) = run(&dlxe_image)?;
+                out.push(FpuSweepPoint {
+                    mul_latency: mul,
+                    d16_cycles,
+                    dlxe_cycles,
+                    d16_rate,
+                    dlxe_rate,
+                });
+            }
+            Ok(out)
         };
-        let (d16_cycles, d16_rate) = run(&d16_image)?;
-        let (dlxe_cycles, dlxe_rate) = run(&dlxe_image)?;
-        out.push(FpuSweepPoint { mul_latency: mul, d16_cycles, dlxe_cycles, d16_rate, dlxe_rate });
+        self.through_store(&stored::FPU, sweep)
     }
-    if let Some((s, key)) = at {
-        s.put(crate::stored::FPU_KIND, key, &crate::stored::encode_fpu(&out));
-    }
-    Ok(out)
 }
 
 // ------------------------------------------------------------------------
@@ -814,60 +795,46 @@ pub struct PipelineSweepRow {
     pub sweep: d16_sim::SweepResult,
 }
 
-/// Sensitivity of the D16/DLXe comparison to the pipeline design point —
-/// the paper fixes a five-stage, predict-untaken, one-word-fetch machine;
-/// this sweep re-times every standard target across depths 3–8, three
-/// front-end predictors, and three fetch widths. One interpreter pass per
-/// target scores the whole grid; the default-spec cell reproduces
-/// [`d16_sim::ExecStats::base_cycles`] exactly.
-///
-/// # Errors
-///
-/// Propagates build/run failures with a description.
-pub fn pipeline_sweep(workload: &str) -> Result<Vec<PipelineSweepRow>, String> {
-    pipeline_sweep_stored(workload, None)
-}
-
-/// [`pipeline_sweep`] through an optional `d16-store`: the per-target
-/// grids are cached per workload and restored bit-exactly.
-///
-/// # Errors
-///
-/// Propagates build/run failures with a description.
-pub fn pipeline_sweep_stored(
-    workload: &str,
-    store: Option<&d16_store::Store>,
-) -> Result<Vec<PipelineSweepRow>, String> {
-    let w = d16_workloads::by_name(workload).ok_or_else(|| format!("no workload {workload}"))?;
-    let at = store.map(|s| (s, crate::stored::psweep_key(w)));
-    if let Some((s, key)) = at {
-        if let Some(rows) =
-            s.get_with(crate::stored::PSWEEP_KIND, key, crate::stored::decode_psweep)
-        {
-            return Ok(rows);
-        }
-    }
-    let mut out = Vec::new();
-    for spec in crate::suite::standard_specs() {
-        let image = crate::measure::build_stored(w, &spec, store).map_err(|e| e.to_string())?;
-        let mut m = Machine::load(&image);
-        m.attach_pipeline_sweep(d16_sim::PipelineSweep::new());
-        match m.run(crate::measure::FUEL, &mut NullSink).map_err(|e| e.to_string())? {
-            d16_sim::StopReason::Halted(_) => {}
-            d16_sim::StopReason::OutOfFuel => {
-                return Err(format!("{workload} on {}: did not halt", spec.label()))
+impl Plan<'_> {
+    /// Sensitivity of the D16/DLXe comparison to the pipeline design
+    /// point — the paper fixes a five-stage, predict-untaken,
+    /// one-word-fetch machine; this sweep re-times the plan's source on
+    /// every standard target across depths 3–8, three front-end
+    /// predictors, and three fetch widths. One interpreter pass per target
+    /// scores the whole grid; the default-spec cell reproduces
+    /// [`d16_sim::ExecStats::base_cycles`] exactly. The plan supplies the
+    /// source, opt level, fuel and store; with a store, the per-target
+    /// grids are cached and restored bit-exactly.
+    ///
+    /// # Errors
+    ///
+    /// Propagates build/run failures with a description.
+    pub fn pipeline_sweep(&self) -> Result<Vec<PipelineSweepRow>, String> {
+        let sweep = || {
+            let name = self.source.name();
+            let mut out = Vec::new();
+            for spec in crate::suite::standard_specs() {
+                let image = Plan { target: spec.clone(), ..self.clone() }
+                    .build()
+                    .map_err(|e| e.to_string())?;
+                let mut m = Machine::load(&image);
+                m.attach_pipeline_sweep(d16_sim::PipelineSweep::new());
+                match m.run(self.fuel, &mut NullSink).map_err(|e| e.to_string())? {
+                    d16_sim::StopReason::Halted(_) => {}
+                    d16_sim::StopReason::OutOfFuel => {
+                        return Err(format!("{name} on {}: did not halt", spec.label()))
+                    }
+                }
+                let sweep = m
+                    .take_pipeline_sweep()
+                    .ok_or_else(|| format!("{name} on {}: sweep detached", spec.label()))?
+                    .finish();
+                out.push(PipelineSweepRow { target: spec.label(), sweep });
             }
-        }
-        let sweep = m
-            .take_pipeline_sweep()
-            .ok_or_else(|| format!("{workload} on {}: sweep detached", spec.label()))?
-            .finish();
-        out.push(PipelineSweepRow { target: spec.label(), sweep });
+            Ok(out)
+        };
+        self.through_store(&stored::PSWEEP, sweep)
     }
-    if let Some((s, key)) = at {
-        s.put(crate::stored::PSWEEP_KIND, key, &crate::stored::encode_psweep(&out));
-    }
-    Ok(out)
 }
 
 // ------------------------------------------------------------------------

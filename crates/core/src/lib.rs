@@ -6,10 +6,17 @@
 //! table and figure of *"16-Bit vs. 32-Bit Instructions for Pipelined
 //! Microprocessors"* (see DESIGN.md §5 for the experiment index).
 //!
-//! ```no_run
-//! use d16_core::{experiments, Suite};
+//! Every run goes through one [`Plan`] value (source, target, pipeline,
+//! opt level, engine, fuel, trace switch, optional store) and one entry
+//! point per operation on it; see the [`plan`] module.
 //!
-//! let suite = Suite::collect().expect("measure the grid");
+//! ```no_run
+//! use d16_core::{default_jobs, experiments, standard_specs, Plan, Suite};
+//!
+//! let all: Vec<_> = d16_workloads::SUITE.iter().collect();
+//! let plan = Plan { trace: true, ..Plan::default() };
+//! let suite =
+//!     Suite::collect(&plan, &all, &standard_specs(), default_jobs()).expect("measure the grid");
 //! let density = experiments::fig4_relative_density(&suite);
 //! let avg = experiments::average(&density);
 //! assert!(avg > 1.2, "DLXe binaries are bigger: {avg}");
@@ -17,21 +24,23 @@
 
 pub mod experiments;
 pub mod measure;
+pub mod plan;
 pub mod report;
-pub mod stored;
+mod stored;
 pub mod suite;
 
 pub use d16_sim::{Engine, PipelineSpec, Predictor};
-pub use measure::{
-    build, build_stored, measure, measure_stored, measure_stored_spec, measure_stored_with,
-    measure_with, MeasureError, Measurement,
-};
+pub use measure::{MeasureError, Measurement};
+pub use plan::{Plan, Source};
 pub use suite::{base_specs, default_jobs, standard_specs, Skip, Suite, SuiteError};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d16_cc::TargetSpec;
     use d16_isa::Isa;
+    use d16_store::Store;
+    use std::sync::Arc;
 
     /// One compact integration pass over a fast subset of the suite:
     /// checks the headline shape of the paper's results.
@@ -39,7 +48,8 @@ mod tests {
     fn headline_shape_on_subset() {
         let names = ["ackermann", "towers", "queens"];
         let ws: Vec<_> = names.iter().map(|n| d16_workloads::by_name(n).unwrap()).collect();
-        let suite = Suite::collect_for(&ws, &standard_specs(), false).unwrap();
+        let suite =
+            Suite::collect(&Plan::default(), &ws, &standard_specs(), default_jobs()).unwrap();
 
         let density = experiments::fig4_relative_density(&suite);
         let d_avg = experiments::average(&density);
@@ -66,7 +76,8 @@ mod tests {
     #[test]
     fn cache_replay_smoke() {
         let ws = [d16_workloads::by_name("assem").unwrap()];
-        let suite = Suite::collect_for(&ws, &base_specs(), true).unwrap();
+        let plan = Plan { trace: true, ..Plan::default() };
+        let suite = Suite::collect(&plan, &ws, &base_specs(), default_jobs()).unwrap();
         let miss = experiments::fig16_icache_miss(&suite, "assem").unwrap();
         // Bigger caches never miss more; D16 misses at most as often as
         // DLXe at equal size (its working set is half the bytes).
@@ -86,5 +97,45 @@ mod tests {
         assert!(t_d16 <= t_dlxe + 1e-9, "D16 I-traffic should be lower overall");
         assert!(t[0].d16 <= t[0].dlxe + 1e-9, "1K traffic");
         let _ = suite.try_trace("assem", Isa::D16).unwrap();
+    }
+
+    #[test]
+    fn stored_compile_serves_identical_images() {
+        let dir = d16_testkit::TempDir::new("core-build-store");
+        let store = Arc::new(Store::open(dir.path()).unwrap());
+        let src = "int main(void) { return 6 * 7; }";
+        for spec in [TargetSpec::d16(), TargetSpec::dlxe()] {
+            let plan = Plan {
+                source: Source::Inline(src),
+                target: spec.clone(),
+                store: Some(Arc::clone(&store)),
+                ..Plan::default()
+            };
+            let cold = plan.build().unwrap();
+            let warm = plan.build().unwrap();
+            let direct = d16_cc::compile_to_image(&[src], &spec).unwrap();
+            assert_eq!(warm.text, cold.text);
+            assert_eq!(warm.data, cold.data);
+            assert_eq!(warm.text, direct.text, "cached image matches a fresh compile");
+            assert_eq!(warm.symbols, direct.symbols);
+        }
+        let s = store.stats();
+        assert_eq!((s.hit, s.miss, s.write), (2, 2, 2));
+
+        // Damage one entry: the next lookup recompiles instead of serving it.
+        let plan = Plan {
+            source: Source::Inline(src),
+            store: Some(Arc::clone(&store)),
+            ..Plan::default()
+        };
+        let path = store.entry_path(stored::IMAGE.kind, stored::image_key(&plan));
+        let mut raw = std::fs::read(&path).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x40;
+        std::fs::write(&path, raw).unwrap();
+        let again = plan.build().unwrap();
+        let direct = d16_cc::compile_to_image(&[src], &TargetSpec::d16()).unwrap();
+        assert_eq!(again.text, direct.text);
+        assert_eq!(store.stats().corrupt_evicted, 1);
     }
 }

@@ -1,10 +1,8 @@
-//! Building, running and measuring one workload on one target.
+//! What one measured cell holds, and how measuring it can fail. The
+//! operations that produce cells live on [`crate::Plan`].
 
-use d16_asm::Image;
-use d16_cc::{compile_to_image_stored, BuildError, TargetSpec};
-use d16_sim::{AccessSink, Engine, ExecStats, Machine, PipelineSpec, StopReason, TraceRecorder};
-use d16_store::Store;
-use d16_workloads::Workload;
+use d16_cc::BuildError;
+use d16_sim::ExecStats;
 use std::fmt;
 
 /// Instruction budget per run: generous, since a correct workload halts
@@ -14,7 +12,7 @@ pub const FUEL: u64 = 2_000_000_000;
 /// Everything measured about one (workload, target) cell.
 #[derive(Clone, Debug)]
 pub struct Measurement {
-    /// Workload name.
+    /// Workload name (`inline` for an inline source).
     pub workload: &'static str,
     /// Target label (`D16/16/2`, `DLXe/32/3`, ...).
     pub target: String,
@@ -57,7 +55,7 @@ pub enum MeasureError {
     Build(BuildError),
     /// Simulator fault.
     Sim(d16_sim::SimError),
-    /// The program did not halt within [`FUEL`] instructions.
+    /// The program did not halt within the plan's instruction budget.
     OutOfFuel,
     /// The checksum differed from the workload's pinned value.
     WrongChecksum {
@@ -95,269 +93,23 @@ impl std::error::Error for MeasureError {
     }
 }
 
-/// Compiles a workload for a target.
-///
-/// # Errors
-///
-/// Propagates toolchain diagnostics.
-pub fn build(w: &Workload, spec: &TargetSpec) -> Result<Image, MeasureError> {
-    build_stored(w, spec, None)
-}
-
-/// [`build`] through an optional `d16-store` (linked images are served
-/// from the `image` kind when an intact entry exists).
-///
-/// # Errors
-///
-/// Propagates toolchain diagnostics.
-pub fn build_stored(
-    w: &Workload,
-    spec: &TargetSpec,
-    store: Option<&Store>,
-) -> Result<Image, MeasureError> {
-    compile_to_image_stored(&[w.source], spec, store).map_err(MeasureError::Build)
-}
-
-/// A sink that feeds several sinks at once. General-purpose (dynamic)
-/// fan-out; the measurement hot path uses the monomorphized
-/// [`MeasureSink`] instead so the access callbacks inline into the
-/// execution engine.
-pub struct Tee<'a>(pub Vec<&'a mut dyn AccessSink>);
-
-impl AccessSink for Tee<'_> {
-    fn fetch(&mut self, addr: u32, bytes: u8) {
-        for s in &mut self.0 {
-            s.fetch(addr, bytes);
-        }
-    }
-    fn read(&mut self, addr: u32, bytes: u8) {
-        for s in &mut self.0 {
-            s.read(addr, bytes);
-        }
-    }
-    fn write(&mut self, addr: u32, bytes: u8) {
-        for s in &mut self.0 {
-            s.write(addr, bytes);
-        }
-    }
-}
-
-/// The concrete sink stack of one measurement run: both fetch-buffer bus
-/// models plus the optional trace recorder, statically dispatched.
-/// Replacing the `dyn`-based [`Tee`] here keeps every access a direct
-/// (inlinable) call, which matters now that the block engine has removed
-/// the decode overhead around it.
-struct MeasureSink<'a> {
-    fb32: &'a mut d16_mem::FetchBuffer,
-    fb64: &'a mut d16_mem::FetchBuffer,
-    rec: Option<&'a mut TraceRecorder>,
-}
-
-impl AccessSink for MeasureSink<'_> {
-    #[inline]
-    fn fetch(&mut self, addr: u32, bytes: u8) {
-        self.fb32.fetch(addr, bytes);
-        self.fb64.fetch(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.fetch(addr, bytes);
-        }
-    }
-    #[inline]
-    fn read(&mut self, addr: u32, bytes: u8) {
-        self.fb32.read(addr, bytes);
-        self.fb64.read(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.read(addr, bytes);
-        }
-    }
-    #[inline]
-    fn write(&mut self, addr: u32, bytes: u8) {
-        self.fb32.write(addr, bytes);
-        self.fb64.write(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.write(addr, bytes);
-        }
-    }
-}
-
-/// Builds, runs and measures one cell; optionally records the full access
-/// trace (for the cache experiments).
-///
-/// # Errors
-///
-/// Fails on toolchain errors, simulator faults, fuel exhaustion, or a
-/// checksum mismatch against the workload's pinned value.
-pub fn measure(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored(w, spec, want_trace, None)
-}
-
-/// [`measure`] under an explicit execution engine ([`Engine::Blocks`] is
-/// the default everywhere; [`Engine::Interp`] exists for A/B timing and
-/// differential checking — the results are byte-identical by contract).
-///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_with(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    engine: Engine,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored_with(w, spec, want_trace, None, engine)
-}
-
-/// [`measure`] through an optional `d16-store`: an intact cached cell is
-/// served without compiling or simulating anything; a miss (or a damaged
-/// entry, which the store evicts) recomputes and commits the cell — and
-/// the linked image — for the next run.
-///
-/// A served cell is *complete*: measurement, telemetry block, and (when
-/// `want_trace`) the full access trace are bit-identical to a cold
-/// computation, and the pinned checksum is re-verified at decode time.
-///
-/// # Errors
-///
-/// Same failure modes as [`measure`]; store damage is never an error.
-pub fn measure_stored(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    store: Option<&Store>,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored_with(w, spec, want_trace, store, Engine::default())
-}
-
-/// [`measure_stored`] under an explicit execution engine. The engine is
-/// deliberately *not* part of the store cell key: both engines produce
-/// byte-identical cells, so a cell computed under one engine may be
-/// served to a run using the other.
-///
-/// # Errors
-///
-/// See [`measure_stored`].
-pub fn measure_stored_with(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    store: Option<&Store>,
-    engine: Engine,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    measure_stored_spec(w, spec, want_trace, store, engine, PipelineSpec::default())
-}
-
-/// [`measure_stored_with`] on an explicit [`PipelineSpec`]: the machine is
-/// retimed (depth-derived load delay, predictor, fetch width) before the
-/// run. The pipeline spec folds into the store key only when it differs
-/// from the default, so default-spec cells keep their keys — and their
-/// bytes — exactly as before this knob existed.
-///
-/// # Errors
-///
-/// See [`measure_stored`].
-pub fn measure_stored_spec(
-    w: &Workload,
-    spec: &TargetSpec,
-    want_trace: bool,
-    store: Option<&Store>,
-    engine: Engine,
-    pspec: PipelineSpec,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    let key = store.map(|s| {
-        let key = crate::stored::cell_key(w, spec, want_trace, &pspec);
-        (s, key)
-    });
-    if let Some((s, key)) = key {
-        if let Some(cell) =
-            s.get_with(crate::stored::CELL_KIND, key, |b| crate::stored::decode_cell(b, w, spec))
-        {
-            return Ok(cell);
-        }
-    }
-    let image = build_stored(w, spec, store)?;
-    let (m, trace) = run(w, spec, &image, want_trace, engine, pspec)?;
-    if let Some((s, k)) = key {
-        s.put(crate::stored::CELL_KIND, k, &crate::stored::encode_cell(&m, trace.as_ref()));
-    }
-    Ok((m, trace))
-}
-
-/// Runs an already-built image and assembles the [`Measurement`].
-fn run(
-    w: &Workload,
-    spec: &TargetSpec,
-    image: &Image,
-    want_trace: bool,
-    engine: Engine,
-    pspec: PipelineSpec,
-) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-    let mut machine = Machine::load(image);
-    machine.set_pipeline(pspec);
-    let mut fb32 = d16_mem::FetchBuffer::new(4);
-    let mut fb64 = d16_mem::FetchBuffer::new(8);
-    let mut rec = TraceRecorder::new();
-    let stop = {
-        let mut sink =
-            MeasureSink { fb32: &mut fb32, fb64: &mut fb64, rec: want_trace.then_some(&mut rec) };
-        machine.run_with(engine, FUEL, &mut sink).map_err(MeasureError::Sim)?
-    };
-    let exit = match stop {
-        StopReason::Halted(v) => v,
-        StopReason::OutOfFuel => return Err(MeasureError::OutOfFuel),
-    };
-    if let Some(expected) = w.expected {
-        if exit != expected {
-            return Err(MeasureError::WrongChecksum { expected, got: exit });
-        }
-    }
-    let trace = if want_trace {
-        // Failpoint: a sink handed an access with a width the trace codec
-        // cannot represent. The recorder poisons itself rather than
-        // panicking; surface that here as a skippable cell error.
-        if d16_testkit::faults::armed_for("bad-access-width", w.name) {
-            rec.read(0x1000, 3);
-        }
-        if let Some(e) = rec.error() {
-            return Err(MeasureError::Trace(e.to_string()));
-        }
-        // Revalidate the stream through the codec — the same path a
-        // store-served trace takes — so a truncated stream (failpoint
-        // `trace-truncate=<workload>`) is caught at measurement time.
-        let mut bytes = rec.encoded_bytes().to_vec();
-        if d16_testkit::faults::armed_for("trace-truncate", w.name) {
-            bytes.pop();
-        }
-        Some(TraceRecorder::from_encoded(bytes, rec.len()).map_err(MeasureError::Trace)?)
-    } else {
-        None
-    };
-    let m = Measurement {
-        workload: w.name,
-        target: spec.label(),
-        exit,
-        size_bytes: image.size_bytes() as u64,
-        text_bytes: image.text.len() as u64,
-        stats: *machine.stats(),
-        ireq_bus32: fb32.irequests,
-        ireq_bus64: fb64.irequests,
-        tele: machine.telemetry().clone(),
-    };
-    Ok((m, trace))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Engine, Plan, Source};
+    use d16_cc::TargetSpec;
+
+    fn cell(name: &str, target: TargetSpec) -> Plan<'static> {
+        Plan {
+            source: Source::Workload(d16_workloads::by_name(name).unwrap()),
+            target,
+            ..Plan::default()
+        }
+    }
 
     #[test]
     fn measure_queens_on_both_isas() {
-        let w = d16_workloads::by_name("queens").unwrap();
-        let (d16, _) = measure(w, &TargetSpec::d16(), false).unwrap();
-        let (dlxe, _) = measure(w, &TargetSpec::dlxe(), false).unwrap();
+        let (d16, _) = cell("queens", TargetSpec::d16()).measure().unwrap();
+        let (dlxe, _) = cell("queens", TargetSpec::dlxe()).measure().unwrap();
         assert_eq!(d16.exit, 92);
         assert_eq!(dlxe.exit, 92);
         assert!(d16.size_bytes < dlxe.size_bytes, "D16 binaries are denser");
@@ -370,10 +122,10 @@ mod tests {
 
     #[test]
     fn engines_measure_identically() {
-        let w = d16_workloads::by_name("towers").unwrap();
         for spec in [TargetSpec::d16(), TargetSpec::dlxe()] {
-            let (a, ta) = measure_with(w, &spec, true, Engine::Interp).unwrap();
-            let (b, tb) = measure_with(w, &spec, true, Engine::Blocks).unwrap();
+            let plan = Plan { trace: true, ..cell("towers", spec) };
+            let (a, ta) = Plan { engine: Engine::Interp, ..plan.clone() }.measure().unwrap();
+            let (b, tb) = Plan { engine: Engine::Blocks, ..plan }.measure().unwrap();
             assert_eq!(a.exit, b.exit);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.ireq_bus32, b.ireq_bus32);
@@ -385,8 +137,8 @@ mod tests {
 
     #[test]
     fn trace_lengths_match_stats() {
-        let w = d16_workloads::by_name("ackermann").unwrap();
-        let (m, trace) = measure(w, &TargetSpec::d16(), true).unwrap();
+        let plan = Plan { trace: true, ..cell("ackermann", TargetSpec::d16()) };
+        let (m, trace) = plan.measure().unwrap();
         let t = trace.unwrap();
         let fetches = t.iter().filter(|a| matches!(a, d16_sim::Access::Fetch(..))).count() as u64;
         assert_eq!(fetches, m.stats.insns);

@@ -1,0 +1,293 @@
+//! The run plan: one value that says how a program is built and run, and
+//! one entry point per operation on it — [`Plan::build`],
+//! [`Plan::measure`] (or [`Plan::run`] on a built image),
+//! [`crate::Suite::collect`], [`crate::experiments::cache_grid_sweep`],
+//! [`Plan::table4`], [`Plan::fpu_sweep`] and [`Plan::pipeline_sweep`].
+//! `repro`, the experiments and `d16-serve` all run through these.
+
+use crate::measure::{MeasureError, Measurement, FUEL};
+use crate::stored;
+use d16_asm::Image;
+use d16_cc::{OptLevel, TargetSpec};
+use d16_sim::{AccessSink, Engine, Machine, PipelineSpec, StopReason, TraceRecorder};
+use d16_store::Store;
+use d16_workloads::Workload;
+use std::sync::Arc;
+
+/// Where a plan's program comes from.
+#[derive(Clone, Copy, Debug)]
+pub enum Source<'a> {
+    /// A registered workload; its pinned checksum, if any, is enforced.
+    Workload(&'a Workload),
+    /// Inline Mini-C text. It has no pinned checksum and is measured
+    /// (and keyed) under the name `inline`.
+    Inline(&'a str),
+}
+
+impl Source<'_> {
+    pub(crate) fn text(&self) -> &str {
+        match self {
+            Source::Workload(w) => w.source,
+            Source::Inline(src) => src,
+        }
+    }
+
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Source::Workload(w) => w.name,
+            Source::Inline(_) => "inline",
+        }
+    }
+
+    pub(crate) fn expected(&self) -> Option<i32> {
+        match self {
+            Source::Workload(w) => w.expected,
+            Source::Inline(_) => None,
+        }
+    }
+}
+
+/// How to build and run one program.
+///
+/// [`Plan::default`] is an empty inline program on `D16/16/2` with every
+/// knob at its default; set `source` and `target` with struct-update
+/// syntax. [`crate::Suite::collect`] and [`Plan::table4`] use a plan as
+/// the template for their cells and fill in `source` and `target`
+/// themselves.
+///
+/// The store is keyed so that a default knob adds nothing to a key: a
+/// cell at `O2`, the default pipeline and the default fuel keeps the key
+/// (and the stored bytes) it had before the knob existed. The engine
+/// never enters a key — both engines produce byte-identical cells.
+#[derive(Clone, Debug)]
+pub struct Plan<'a> {
+    /// The program.
+    pub source: Source<'a>,
+    /// Code-generation target.
+    pub target: TargetSpec,
+    /// Pipeline design point the machine is retimed to.
+    pub pipeline: PipelineSpec,
+    /// Optimization level.
+    pub opt: OptLevel,
+    /// Execution engine ([`Engine::Blocks`] by default; the interpreter
+    /// exists for A/B timing and differential checking).
+    pub engine: Engine,
+    /// Instruction budget.
+    pub fuel: u64,
+    /// Whether to record the full access trace (for the cache sweeps).
+    pub trace: bool,
+    /// Artifact store: images, cells and experiment records are served
+    /// from it when an intact entry exists and committed to it otherwise.
+    pub store: Option<Arc<Store>>,
+}
+
+impl Default for Plan<'_> {
+    fn default() -> Self {
+        Plan {
+            source: Source::Inline(""),
+            target: TargetSpec::d16(),
+            pipeline: PipelineSpec::default(),
+            opt: OptLevel::O2,
+            engine: Engine::default(),
+            fuel: FUEL,
+            trace: false,
+            store: None,
+        }
+    }
+}
+
+impl Plan<'_> {
+    /// Compiles, assembles and links the source for the target. With a
+    /// store, an intact `image` entry is served instead; a miss compiles
+    /// and commits. This is the only place images meet the store.
+    ///
+    /// # Errors
+    ///
+    /// Propagates toolchain diagnostics.
+    pub fn build(&self) -> Result<Image, MeasureError> {
+        self.through_store(&stored::IMAGE, || {
+            d16_cc::compile_to_image_with(&[self.source.text()], &self.target, self.opt)
+                .map_err(MeasureError::Build)
+        })
+    }
+
+    /// Builds, runs and measures one cell. With a store, an intact cell
+    /// is served without compiling or simulating anything; a miss (or a
+    /// damaged entry, which the store evicts) builds, runs and commits.
+    ///
+    /// A served cell is complete: measurement, telemetry block and (when
+    /// `trace` is set) the access trace are bit-identical to a cold
+    /// computation, and the pinned checksum is re-verified at decode time.
+    ///
+    /// # Errors
+    ///
+    /// Toolchain errors, simulator faults, fuel exhaustion, a checksum
+    /// mismatch against the workload's pinned value, or an unusable
+    /// trace. Store damage is never an error.
+    pub fn measure(&self) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
+        self.through_store(&stored::CELL, || self.run(&self.build()?))
+    }
+
+    /// Runs an already-built image on the retimed machine and assembles
+    /// the [`Measurement`]; no store is involved. [`Plan::measure`] is
+    /// [`Plan::build`] followed by this.
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::measure`].
+    pub fn run(&self, image: &Image) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
+        let name = self.source.name();
+        let mut machine = Machine::load(image);
+        machine.set_pipeline(self.pipeline);
+        let mut fb32 = d16_mem::FetchBuffer::new(4);
+        let mut fb64 = d16_mem::FetchBuffer::new(8);
+        let mut rec = TraceRecorder::new();
+        let stop = {
+            let mut sink = MeasureSink {
+                fb32: &mut fb32,
+                fb64: &mut fb64,
+                rec: self.trace.then_some(&mut rec),
+            };
+            machine.run_with(self.engine, self.fuel, &mut sink).map_err(MeasureError::Sim)?
+        };
+        let exit = match stop {
+            StopReason::Halted(v) => v,
+            StopReason::OutOfFuel => return Err(MeasureError::OutOfFuel),
+        };
+        if let Some(expected) = self.source.expected() {
+            if exit != expected {
+                return Err(MeasureError::WrongChecksum { expected, got: exit });
+            }
+        }
+        let trace = if self.trace {
+            // Failpoint: a sink handed an access with a width the trace
+            // codec cannot represent. The recorder poisons itself rather
+            // than panicking; surface that here as a skippable cell error.
+            if d16_testkit::faults::armed_for("bad-access-width", name) {
+                rec.read(0x1000, 3);
+            }
+            if let Some(e) = rec.error() {
+                return Err(MeasureError::Trace(e.to_string()));
+            }
+            // Revalidate the stream through the codec — the same path a
+            // store-served trace takes — so a truncated stream (failpoint
+            // `trace-truncate=<workload>`) is caught at measurement time.
+            let len = rec.len();
+            let mut bytes = rec.into_encoded();
+            if d16_testkit::faults::armed_for("trace-truncate", name) {
+                bytes.pop();
+            }
+            Some(TraceRecorder::from_encoded(bytes, len).map_err(MeasureError::Trace)?)
+        } else {
+            None
+        };
+        let m = Measurement {
+            workload: name,
+            target: self.target.label(),
+            exit,
+            size_bytes: image.size_bytes() as u64,
+            text_bytes: image.text.len() as u64,
+            stats: *machine.stats(),
+            ireq_bus32: fb32.irequests,
+            ireq_bus64: fb64.irequests,
+            tele: machine.telemetry().clone(),
+        };
+        Ok((m, trace))
+    }
+
+    /// Serves `record` from the plan's store when an intact entry exists
+    /// (a damaged one is evicted); otherwise computes and commits it.
+    /// Without a store this is `compute()`.
+    pub(crate) fn through_store<T, E>(
+        &self,
+        record: &stored::Record<T>,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let Some(store) = self.store.as_deref() else { return compute() };
+        let key = (record.key)(self);
+        if let Some(v) = store.get_with(record.kind, key, |b| (record.decode)(b, self)) {
+            return Ok(v);
+        }
+        let v = compute()?;
+        store.put(record.kind, key, &(record.encode)(&v));
+        Ok(v)
+    }
+}
+
+/// The concrete sink stack of one measurement run: both fetch-buffer bus
+/// models plus the optional trace recorder, statically dispatched. A
+/// `dyn` fan-out here would put an indirect call on every access, and the
+/// block engine has removed the decode overhead that used to hide it.
+struct MeasureSink<'a> {
+    fb32: &'a mut d16_mem::FetchBuffer,
+    fb64: &'a mut d16_mem::FetchBuffer,
+    rec: Option<&'a mut TraceRecorder>,
+}
+
+impl AccessSink for MeasureSink<'_> {
+    #[inline]
+    fn fetch(&mut self, addr: u32, bytes: u8) {
+        self.fb32.fetch(addr, bytes);
+        self.fb64.fetch(addr, bytes);
+        if let Some(r) = &mut self.rec {
+            r.fetch(addr, bytes);
+        }
+    }
+    #[inline]
+    fn read(&mut self, addr: u32, bytes: u8) {
+        self.fb32.read(addr, bytes);
+        self.fb64.read(addr, bytes);
+        if let Some(r) = &mut self.rec {
+            r.read(addr, bytes);
+        }
+    }
+    #[inline]
+    fn write(&mut self, addr: u32, bytes: u8) {
+        self.fb32.write(addr, bytes);
+        self.fb64.write(addr, bytes);
+        if let Some(r) = &mut self.rec {
+            r.write(addr, bytes);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(name: &str, target: TargetSpec) -> Plan<'static> {
+        Plan {
+            source: Source::Workload(d16_workloads::by_name(name).unwrap()),
+            target,
+            ..Plan::default()
+        }
+    }
+
+    #[test]
+    fn inline_sources_run_without_a_checksum_and_respect_fuel() {
+        let src = "int main(void) { int i, s = 0; for (i = 0; i < 100; i++) s += i; return s; }";
+        let plan = Plan { source: Source::Inline(src), ..Plan::default() };
+        let (m, _) = plan.measure().unwrap();
+        assert_eq!((m.workload, m.exit), ("inline", 4950));
+        let starved = Plan { fuel: m.stats.insns - 1, ..plan };
+        assert!(matches!(starved.measure(), Err(MeasureError::OutOfFuel)));
+    }
+
+    #[test]
+    fn opt_levels_get_their_own_images_in_one_store() {
+        let dir = d16_testkit::TempDir::new("plan-opt-store");
+        let store = Arc::new(Store::open(dir.path()).unwrap());
+        let o2 = Plan { store: Some(Arc::clone(&store)), ..cell("towers", TargetSpec::d16()) };
+        let o0 = Plan { opt: OptLevel::O0, ..o2.clone() };
+        let (i2, i0) = (o2.build().unwrap(), o0.build().unwrap());
+        assert_ne!(i0.text, i2.text, "O0 and O2 compile differently");
+        // Served back, each level still gets its own image.
+        assert_eq!(o0.build().unwrap().text, i0.text);
+        assert_eq!(o2.build().unwrap().text, i2.text);
+        let (m2, _) = o2.measure().unwrap();
+        let (m0, _) = o0.measure().unwrap();
+        assert_eq!(m0.exit, m2.exit);
+        assert_ne!(m0.stats.insns, m2.stats.insns, "cells do not collide either");
+        assert_eq!(o0.measure().unwrap().0.stats, m0.stats);
+    }
+}

@@ -2,23 +2,22 @@
 //! configuration, plus access traces for the cache benchmarks.
 //!
 //! Collection fans the independent (workload, target) cells over a scoped
-//! worker pool ([`Suite::collect_for_jobs`]); results are assembled in
+//! worker pool ([`Suite::collect`]); results are assembled in
 //! work-item order, so the collected suite is byte-identical no matter how
 //! many threads ran. Recorded traces feed the cache experiments through a
 //! per-(workload, ISA) memoized single-pass grid replay
 //! ([`Suite::cache_grid`]), so the full 20-configuration cache study walks
 //! each trace exactly once.
 
-use crate::measure::{measure_stored_spec, MeasureError, Measurement};
-use d16_cc::TargetSpec;
+use crate::measure::{MeasureError, Measurement};
+use crate::plan::{Plan, Source};
+use d16_cc::{OptLevel, TargetSpec};
 use d16_isa::Isa;
-use d16_mem::{CacheBank, CacheSystem};
-use d16_sim::Engine;
-use d16_sim::PipelineSpec;
+use d16_mem::CacheSystem;
 use d16_sim::TraceRecorder;
 use d16_store::Store;
 use d16_telemetry::{timed, Registry};
-use d16_workloads::{Workload, SUITE};
+use d16_workloads::Workload;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,9 +43,20 @@ pub fn base_specs() -> [TargetSpec; 2] {
     [TargetSpec::d16(), TargetSpec::dlxe()]
 }
 
-/// The number of worker threads [`Suite::collect`] uses by default.
+/// The number of worker threads to collect on when the caller has no
+/// preference: the machine's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// The unrestricted machine of an ISA: the target whose cells record
+/// traces for the cache experiments.
+fn unrestricted(isa: Isa) -> TargetSpec {
+    match isa {
+        Isa::D16 => TargetSpec::d16(),
+        Isa::Dlxe => TargetSpec::dlxe(),
+        Isa::D16x => TargetSpec::d16x(),
+    }
 }
 
 /// Everything that can go wrong collecting or querying a [`Suite`].
@@ -84,13 +94,8 @@ pub enum SuiteError {
         /// ISA name.
         isa: String,
     },
-    /// A cache configuration was rejected while setting up a replay.
-    Config {
-        /// What was being configured (e.g. `cache grid`).
-        context: String,
-        /// The rejection.
-        source: d16_mem::ConfigError,
-    },
+    /// A cache-grid configuration was rejected while setting up a sweep.
+    Config(d16_mem::ConfigError),
     /// A requested (size, block) point is not on the experiment grid.
     OffGrid {
         /// Requested cache size in bytes.
@@ -125,9 +130,7 @@ impl fmt::Display for SuiteError {
             SuiteError::MissingTrace { workload, isa } => {
                 write!(f, "trace ({workload}, {isa}) not recorded (trace collection off, or not a cache benchmark)")
             }
-            SuiteError::Config { context, source } => {
-                write!(f, "{context}: {source}")
-            }
+            SuiteError::Config(e) => write!(f, "cache grid: {e}"),
             SuiteError::OffGrid { size, block } => {
                 write!(f, "cache point (size {size}, block {block}) is not on the experiment grid")
             }
@@ -142,7 +145,7 @@ impl std::error::Error for SuiteError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SuiteError::Measure { source, .. } => Some(source),
-            SuiteError::Config { source, .. } => Some(source),
+            SuiteError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -200,20 +203,31 @@ pub struct Suite {
     /// cache-sweep phase spans. Shared across clones, like `grid_memo`,
     /// because [`Suite::cache_grid`] appends through `&self`.
     tele: Arc<Mutex<Registry>>,
-    /// The artifact store this suite was collected through, if any;
-    /// retained so [`Suite::cache_grid`] can serve and commit grid sweeps.
+    /// The artifact store this suite was collected through, if any, and
+    /// the opt level of its images; retained so [`Suite::cache_grid`] can
+    /// serve and commit grid sweeps under the traced cells' keys.
     store: Option<Arc<Store>>,
+    opt: OptLevel,
 }
 
 impl Suite {
-    /// Measures the given workloads under the given specs on `jobs`
-    /// worker threads. Traces are recorded for cache-benchmark workloads
-    /// on the two unrestricted machines when `trace_cache` is set.
+    /// Measures every (workload, target) cell on `jobs` worker threads.
+    /// Each cell runs `plan` with the workload and target filled in; the
+    /// plan's `trace` switch records traces for the cache-benchmark
+    /// workloads on the unrestricted machines, where the cache
+    /// experiments need them.
     ///
-    /// The (workload, spec) cells are independent, so they fan out over a
-    /// scoped thread pool; cells are assembled — and any skips recorded —
-    /// in work-item order, making the result identical for every `jobs`
-    /// value.
+    /// The cells are independent, so they fan out over a scoped thread
+    /// pool; cells are assembled — and any skips recorded — in work-item
+    /// order, making the result identical for every `jobs` value.
+    ///
+    /// With a store in the plan, intact cached cells (and their traces)
+    /// are served without recompiling or re-simulating. Served cells are
+    /// bit-identical to computed ones — assembly order, telemetry
+    /// absorption, span recording and the checksum gate all run the same
+    /// either way — so every diffable output of a warm run matches a cold
+    /// one byte for byte. The store rides along in the suite so lazy grid
+    /// sweeps ([`Suite::cache_grid`]) go through it too.
     ///
     /// A failing cell does not fail the collection: it is dropped and
     /// recorded in [`Suite::skipped`], and a cross-target checksum
@@ -223,150 +237,64 @@ impl Suite {
     /// # Errors
     ///
     /// [`SuiteError::NothingCollected`] only when *every* cell failed.
-    pub fn collect_for_jobs(
+    pub fn collect(
+        plan: &Plan<'_>,
         workloads: &[&Workload],
         specs: &[TargetSpec],
-        trace_cache: bool,
         jobs: usize,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs_stored(workloads, specs, trace_cache, jobs, None)
-    }
-
-    /// [`Suite::collect_for_jobs`] through an optional artifact store:
-    /// intact cached cells (and their traces) are served without
-    /// recompiling or re-simulating; misses and damaged entries recompute
-    /// and commit. The store rides along in the suite so lazy grid sweeps
-    /// ([`Suite::cache_grid`]) go through it too.
-    ///
-    /// Served cells are bit-identical to computed ones — assembly order,
-    /// telemetry absorption, span recording and the checksum gate all run
-    /// the same either way — so every diffable output of a warm run
-    /// matches a cold one byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for_jobs_stored(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs_stored_with(
-            workloads,
-            specs,
-            trace_cache,
-            jobs,
-            store,
-            Engine::default(),
-        )
-    }
-
-    /// [`Suite::collect_for_jobs_stored`] under an explicit execution
-    /// engine. Both engines yield byte-identical suites; the choice only
-    /// changes how long collection takes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for_jobs_stored_with(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs_stored_spec(
-            workloads,
-            specs,
-            trace_cache,
-            jobs,
-            store,
-            engine,
-            PipelineSpec::default(),
-        )
-    }
-
-    /// [`Suite::collect_for_jobs_stored_with`] on an explicit
-    /// [`PipelineSpec`]: every cell is measured on the retimed machine
-    /// (non-default specs get their own store keys). The default spec is
-    /// byte-identical to the plain collection.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for_jobs_stored_spec(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-        pspec: PipelineSpec,
     ) -> Result<Suite, SuiteError> {
         let items: Vec<(usize, usize)> =
             (0..workloads.len()).flat_map(|w| (0..specs.len()).map(move |s| (w, s))).collect();
         let run_cell = |&(wi, si): &(usize, usize)| -> CellResult {
             let w = workloads[wi];
             let spec = &specs[si];
-            let unrestricted = *spec == TargetSpec::d16()
-                || *spec == TargetSpec::dlxe()
-                || *spec == TargetSpec::d16x();
-            let want_trace = trace_cache && w.cache_benchmark && unrestricted;
-            measure_stored_spec(w, spec, want_trace, store.as_deref(), engine, pspec).map_err(|e| {
-                SuiteError::Measure {
-                    workload: w.name.to_string(),
-                    target: spec.label(),
-                    source: e,
-                }
-            })
+            let cell = Plan {
+                source: Source::Workload(w),
+                target: spec.clone(),
+                trace: plan.trace && w.cache_benchmark && *spec == unrestricted(spec.isa),
+                ..plan.clone()
+            };
+            // A recorder keeps its buffer's growth slack; the suite holds
+            // its traces for the whole run, so it keeps exact-size clones.
+            let (m, trace) = cell.measure().map_err(|e| SuiteError::Measure {
+                workload: w.name.to_string(),
+                target: spec.label(),
+                source: e,
+            })?;
+            Ok((m, trace.clone()))
         };
 
         let jobs = jobs.max(1).min(items.len().max(1));
-        // Each slot holds the cell result plus the wall time spent
-        // measuring it (the "suite.collect.cell" span).
-        let mut results: Vec<Option<(CellResult, u64)>> = Vec::new();
-        results.resize_with(items.len(), || None);
-        if jobs == 1 {
-            for (slot, item) in results.iter_mut().zip(&items) {
-                *slot = Some(timed(|| run_cell(item)));
-            }
-        } else {
-            // Work-stealing over a shared index; each worker keeps its
-            // finished cells locally and the main thread files them by
-            // index after the scope joins, so no ordering is lost.
-            let next = AtomicUsize::new(0);
-            let finished = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local: Vec<(usize, (CellResult, u64))> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(item) = items.get(i) else { break };
-                                local.push((i, timed(|| run_cell(item))));
-                            }
-                            local
-                        })
+        // Work-stealing over a shared index; each worker keeps its
+        // finished cells (each with the wall time spent measuring it, the
+        // "suite.collect.cell" span) locally, and the main thread sorts
+        // them back into work-item order after the scope joins.
+        let next = AtomicUsize::new(0);
+        let mut finished = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local: Vec<(usize, (CellResult, u64))> = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break };
+                            local.push((i, timed(|| run_cell(item))));
+                        }
+                        local
                     })
-                    .collect();
-                let mut all = Vec::with_capacity(items.len());
-                for h in handles {
-                    all.extend(h.join().expect("collection worker panicked"));
-                }
-                all
-            });
-            for (i, r) in finished {
-                results[i] = Some(r);
+                })
+                .collect();
+            let mut all = Vec::with_capacity(items.len());
+            for h in handles {
+                all.extend(h.join().expect("collection worker panicked"));
             }
-        }
+            all
+        });
+        finished.sort_unstable_by_key(|&(i, _)| i);
 
-        let mut suite = Suite { store: store.clone(), ..Suite::default() };
+        let mut suite = Suite { store: plan.store.clone(), opt: plan.opt, ..Suite::default() };
         let mut reg = Registry::new();
-        for (&(wi, si), result) in items.iter().zip(results) {
-            let (result, wall_ns) = result.expect("cell not collected");
+        for (&(wi, si), (_, (result, wall_ns))) in items.iter().zip(finished) {
             let w = workloads[wi];
             let (m, trace) = match result {
                 Ok(cell) => cell,
@@ -432,86 +360,6 @@ impl Suite {
         Ok(suite)
     }
 
-    /// [`Suite::collect_for_jobs`] with the default worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_for(
-        workloads: &[&Workload],
-        specs: &[TargetSpec],
-        trace_cache: bool,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_for_jobs(workloads, specs, trace_cache, default_jobs())
-    }
-
-    /// Measures the full paper grid: all fifteen workloads on all five
-    /// configurations, with cache-benchmark traces, on `jobs` threads.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs(jobs: usize) -> Result<Suite, SuiteError> {
-        Self::collect_jobs_stored(jobs, None)
-    }
-
-    /// [`Suite::collect_jobs`] through an optional artifact store.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs_stored(
-        jobs: usize,
-        store: Option<Arc<Store>>,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_jobs_stored_with(jobs, store, Engine::default())
-    }
-
-    /// [`Suite::collect_jobs_stored`] under an explicit execution engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs_stored_with(
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-    ) -> Result<Suite, SuiteError> {
-        Self::collect_jobs_stored_spec(jobs, store, engine, PipelineSpec::default())
-    }
-
-    /// [`Suite::collect_jobs_stored_with`] on an explicit [`PipelineSpec`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect_jobs_stored_spec(
-        jobs: usize,
-        store: Option<Arc<Store>>,
-        engine: Engine,
-        pspec: PipelineSpec,
-    ) -> Result<Suite, SuiteError> {
-        let all: Vec<&Workload> = SUITE.iter().collect();
-        Self::collect_for_jobs_stored_spec(
-            &all,
-            &standard_specs(),
-            true,
-            jobs,
-            store,
-            engine,
-            pspec,
-        )
-    }
-
-    /// Measures the full paper grid with the default worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::collect_for_jobs`].
-    pub fn collect() -> Result<Suite, SuiteError> {
-        Self::collect_jobs(default_jobs())
-    }
-
     /// The measurement for one cell.
     ///
     /// # Errors
@@ -536,9 +384,9 @@ impl Suite {
 
     /// The cache-grid systems for one (workload, ISA) trace: every
     /// configuration of [`crate::experiments::cache_grid_configs`], warmed
-    /// by a *single* shared sweep of the recorded trace through a
-    /// [`CacheBank`] and memoized. Figures 16–19 and Tables 13–16 all
-    /// read from this; index with
+    /// by a *single* shared sweep of the recorded trace
+    /// ([`crate::experiments::cache_grid_sweep`]) and memoized. Figures
+    /// 16–19 and Tables 13–16 all read from this; index with
     /// [`crate::experiments::cache_grid_index`].
     ///
     /// # Errors
@@ -559,48 +407,38 @@ impl Suite {
             return Ok(Arc::clone(v));
         }
         let trace = self.try_trace(workload, isa)?;
-        let prefix = format!("grid.{workload}.{}", isa.name());
 
         // A stored sweep carries the finished systems plus the bank's
         // sweep counters, so the registry ends up with exactly the
-        // entries a live replay's `export_telemetry` would have written.
-        let stored_at = self.store.as_deref().and_then(|s| {
-            d16_workloads::by_name(workload).map(|w| (s, crate::stored::grid_key(w, isa)))
+        // entries a live replay's export would have written. Only
+        // registered workloads have stable grid keys.
+        let w = d16_workloads::by_name(workload);
+        let traced = Plan {
+            source: w.map_or(Source::Inline(""), Source::Workload),
+            target: unrestricted(isa),
+            opt: self.opt,
+            store: w.and(self.store.clone()),
+            ..Plan::default()
+        };
+        let (grid, sweep_ns) = timed(|| {
+            traced.through_store(&crate::stored::GRID, || {
+                let bank =
+                    crate::experiments::cache_grid_sweep(trace).map_err(SuiteError::Config)?;
+                let sweep = bank.telemetry().clone();
+                Ok((bank.into_systems(), sweep))
+            })
         });
-        if let Some((s, gkey)) = stored_at {
-            let (hit, load_ns) =
-                timed(|| s.get_with(crate::stored::GRID_KIND, gkey, crate::stored::decode_grid));
-            if let Some((systems, sweep)) = hit {
-                {
-                    let mut reg = self.tele.lock().expect("telemetry lock poisoned");
-                    reg.record_span("suite.cache_grid.sweep", load_ns);
-                    reg.absorb(&prefix, &sweep);
-                    for sys in &systems {
-                        sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
-                    }
-                }
-                let systems = Arc::new(systems);
-                memo.insert(key, Arc::clone(&systems));
-                return Ok(systems);
-            }
-        }
-
-        let mut bank = CacheBank::symmetric(&crate::experiments::cache_grid_configs())
-            .map_err(|source| SuiteError::Config { context: "cache grid".to_string(), source })?;
-        let ((), sweep_ns) = timed(|| trace.replay(&mut bank));
+        let (systems, sweep) = grid?;
         {
+            let prefix = format!("grid.{workload}.{}", isa.name());
             let mut reg = self.tele.lock().expect("telemetry lock poisoned");
             reg.record_span("suite.cache_grid.sweep", sweep_ns);
-            bank.export_telemetry(&mut reg, &prefix);
+            reg.absorb(&prefix, &sweep);
+            for sys in &systems {
+                sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
+            }
         }
-        if let Some((s, gkey)) = stored_at {
-            s.put(
-                crate::stored::GRID_KIND,
-                gkey,
-                &crate::stored::encode_grid(bank.systems(), bank.telemetry()),
-            );
-        }
-        let systems = Arc::new(bank.into_systems());
+        let systems = Arc::new(systems);
         memo.insert(key, Arc::clone(&systems));
         Ok(systems)
     }
@@ -646,7 +484,7 @@ mod tests {
     #[test]
     fn collect_small_subset() {
         let ws = [d16_workloads::by_name("towers").unwrap()];
-        let suite = Suite::collect_for(&ws, &base_specs(), false).unwrap();
+        let suite = Suite::collect(&Plan::default(), &ws, &base_specs(), 2).unwrap();
         assert_eq!(suite.cells.len(), 2);
         assert!(suite.skipped.is_empty(), "{:?}", suite.skipped);
         assert_eq!(suite.try_get("towers", "D16/16/2").unwrap().exit, 16383);
@@ -666,7 +504,7 @@ mod tests {
             floating: false,
         };
         let good = d16_workloads::by_name("queens").unwrap();
-        let suite = Suite::collect_for(&[&bad, good], &base_specs(), false).unwrap();
+        let suite = Suite::collect(&Plan::default(), &[&bad, good], &base_specs(), 2).unwrap();
         assert_eq!(suite.cells.len(), 2, "queens cells survive");
         assert_eq!(suite.workloads(), vec!["queens".to_string()]);
         assert_eq!(suite.skipped.len(), 2, "{:?}", suite.skipped);
@@ -678,7 +516,7 @@ mod tests {
 
         // When every cell fails, collection reports the first error
         // instead of returning an empty suite.
-        let e = Suite::collect_for(&[&bad], &base_specs(), false).unwrap_err();
+        let e = Suite::collect(&Plan::default(), &[&bad], &base_specs(), 2).unwrap_err();
         assert!(matches!(&e, SuiteError::NothingCollected { attempted: 2, .. }), "{e:?}");
         assert!(e.to_string().contains("checksum mismatch"), "{e}");
     }

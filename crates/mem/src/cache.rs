@@ -253,7 +253,7 @@ impl Cache {
         &self.stats
     }
 
-    /// The [`MEM_SCHEMA`] telemetry block (all zeros with telemetry
+    /// The `MEM_SCHEMA` telemetry block (all zeros with telemetry
     /// compiled out).
     pub fn telemetry(&self) -> &Counters {
         &self.tele

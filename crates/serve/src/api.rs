@@ -1,6 +1,6 @@
 //! The `/v1/run` API: request parsing, the typed error → HTTP status
-//! mapping, and the compile → simulate → sweep execution path with its
-//! store-backed response cache.
+//! mapping, and the store-backed response cache around d16-core's build,
+//! run and grid-sweep operations (the same ones `repro` measures with).
 //!
 //! Response bodies are **pure functions of the request**: no wall-clock
 //! time, no machine-dependent counter ever enters a body, so a cached
@@ -10,10 +10,11 @@
 //! corpus tooling excludes from saved bodies.
 
 use d16_bench::json::Json;
-use d16_cc::{BuildError, OptLevel, TargetSpec};
-use d16_core::experiments::cache_grid_configs;
+use d16_cc::{OptLevel, TargetSpec};
+use d16_core::experiments::{cache_grid_configs, cache_grid_sweep};
 use d16_core::measure::FUEL;
-use d16_sim::{AccessSink, Engine, Machine, PipelineSpec, Predictor, StopReason, TraceRecorder};
+use d16_core::{standard_specs, MeasureError, Plan, Source};
+use d16_sim::{Engine, PipelineSpec, Predictor};
 use d16_store::{CacheKey, Reader, StableHasher, Store, Writer};
 use std::time::Instant;
 
@@ -131,20 +132,6 @@ fn body_bytes(doc: &Json) -> Vec<u8> {
     format!("{doc}\n").into_bytes()
 }
 
-/// The known target labels (the five standard configurations plus the
-/// D16x mixed-width extension target).
-fn spec_for_label(label: &str) -> Option<TargetSpec> {
-    match label {
-        "D16/16/2" => Some(TargetSpec::d16()),
-        "DLXe/32/3" => Some(TargetSpec::dlxe()),
-        "DLXe/16/2" => Some(TargetSpec::dlxe_restricted(true, true, false)),
-        "DLXe/16/3" => Some(TargetSpec::dlxe_restricted(true, false, false)),
-        "DLXe/32/2" => Some(TargetSpec::dlxe_restricted(false, true, false)),
-        "D16x/16/3" => Some(TargetSpec::d16x()),
-        _ => None,
-    }
-}
-
 impl RunRequest {
     /// Parses and validates a request body against `fuel_cap`.
     ///
@@ -228,10 +215,10 @@ impl RunRequest {
         };
 
         let label = str_field("target")?.unwrap_or("D16/16/2");
-        let mut spec = spec_for_label(label).ok_or_else(|| {
-            ApiError::BadRequest(format!(
-                "unknown target `{label}` (valid: D16/16/2, DLXe/32/3, DLXe/16/2, DLXe/16/3, DLXe/32/2)"
-            ))
+        let specs = standard_specs();
+        let mut spec = specs.iter().find(|s| s.label() == label).cloned().ok_or_else(|| {
+            let valid: Vec<String> = specs.iter().map(TargetSpec::label).collect();
+            ApiError::BadRequest(format!("unknown target `{label}` (valid: {})", valid.join(", ")))
         })?;
         if let Some(v) = bool_field("d16_immediates")? {
             spec.d16_immediates = v;
@@ -243,24 +230,14 @@ impl RunRequest {
             spec.schedule_delay_slots = v;
         }
 
-        let opt = match str_field("opt")?.unwrap_or("O2") {
-            "O0" => OptLevel::O0,
-            "O2" => OptLevel::O2,
-            other => {
-                return Err(ApiError::BadRequest(format!(
-                    "unknown opt level `{other}` (valid: O0, O2)"
-                )))
-            }
-        };
-        let engine = match str_field("engine")?.unwrap_or("blocks") {
-            "blocks" => Engine::Blocks,
-            "interp" => Engine::Interp,
-            other => {
-                return Err(ApiError::BadRequest(format!(
-                    "unknown engine `{other}` (valid: blocks, interp)"
-                )))
-            }
-        };
+        let opt = str_field("opt")?.unwrap_or("O2");
+        let opt = OptLevel::parse(opt).ok_or_else(|| {
+            ApiError::BadRequest(format!("unknown opt level `{opt}` (valid: O0, O2)"))
+        })?;
+        let engine = str_field("engine")?.unwrap_or("blocks");
+        let engine = Engine::parse(engine).ok_or_else(|| {
+            ApiError::BadRequest(format!("unknown engine `{engine}` (valid: blocks, interp)"))
+        })?;
         let fuel = match doc.get("fuel") {
             None => fuel_cap,
             Some(v) => v
@@ -311,10 +288,7 @@ impl RunRequest {
         let mut h = StableHasher::new("d16-serve.request");
         h.field_str(SERVE_TAG)
             .field_key(d16_cc::build_key(&[&self.source], &self.spec))
-            .field_str(match self.opt {
-                OptLevel::O0 => "O0",
-                OptLevel::O2 => "O2",
-            })
+            .field_str(self.opt.name())
             .field_bool(self.sweep);
         if self.pspec != PipelineSpec::default() {
             h.field_u64(u64::from(self.pspec.depth))
@@ -351,39 +325,6 @@ pub struct RunOutcome {
 /// cap): the same fuel the batch experiments run with.
 pub const DEFAULT_FUEL_CAP: u64 = FUEL;
 
-struct ServeSink<'a> {
-    fb32: &'a mut d16_mem::FetchBuffer,
-    fb64: &'a mut d16_mem::FetchBuffer,
-    rec: Option<&'a mut TraceRecorder>,
-}
-
-impl AccessSink for ServeSink<'_> {
-    #[inline]
-    fn fetch(&mut self, addr: u32, bytes: u8) {
-        self.fb32.fetch(addr, bytes);
-        self.fb64.fetch(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.fetch(addr, bytes);
-        }
-    }
-    #[inline]
-    fn read(&mut self, addr: u32, bytes: u8) {
-        self.fb32.read(addr, bytes);
-        self.fb64.read(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.read(addr, bytes);
-        }
-    }
-    #[inline]
-    fn write(&mut self, addr: u32, bytes: u8) {
-        self.fb32.write(addr, bytes);
-        self.fb64.write(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.write(addr, bytes);
-        }
-    }
-}
-
 fn check_deadline(deadline: Instant) -> Result<(), ApiError> {
     if Instant::now() > deadline {
         return Err(ApiError::Timeout);
@@ -391,10 +332,12 @@ fn check_deadline(deadline: Instant) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// Serves one parsed run request: store lookup, else compile → simulate
-/// → (optional) sweep → commit. The deadline is checked between phases;
-/// a fuel budget bounds the simulation itself, so no phase runs
-/// unboundedly long.
+/// Serves one parsed run request: response-cache lookup, else build →
+/// run → (optional) grid sweep → commit. The compute is d16-core's
+/// [`Plan::build`], [`Plan::run`] and [`cache_grid_sweep`] with no store
+/// of their own: only the finished body is cached. The deadline is
+/// checked between phases; a fuel budget bounds the simulation itself,
+/// so no phase runs unboundedly long.
 ///
 /// # Errors
 ///
@@ -435,80 +378,73 @@ pub fn run(
     }
     check_deadline(deadline)?;
 
+    let mut plan = Plan {
+        source: Source::Inline(&req.source),
+        target: req.spec.clone(),
+        pipeline: req.pspec,
+        opt: req.opt,
+        engine: req.engine,
+        fuel: req.fuel,
+        trace: req.sweep,
+        store: None,
+    };
+    if d16_testkit::faults::armed_for("serve-fuel-exhausted", &req.tag) {
+        plan.fuel = plan.fuel.min(1_000);
+    }
+    let fail = |e: MeasureError| match e {
+        MeasureError::Build(e) => ApiError::Compile(e.to_string()),
+        MeasureError::Sim(e) => ApiError::Internal(format!("simulator fault: {e}")),
+        MeasureError::OutOfFuel => ApiError::FuelExhausted { fuel: plan.fuel },
+        MeasureError::Trace(e) => ApiError::Internal(format!("trace: {e}")),
+        e @ MeasureError::WrongChecksum { .. } => ApiError::Internal(e.to_string()),
+    };
+
     let t0 = Instant::now();
-    let image = d16_cc::compile_to_image_with(&[&req.source], &req.spec, req.opt)
-        .map_err(|e: BuildError| ApiError::Compile(e.to_string()))?;
+    let image = plan.build().map_err(fail)?;
     let compile_ns = t0.elapsed().as_nanos() as u64;
     check_deadline(deadline)?;
 
-    let mut fuel = req.fuel;
-    if d16_testkit::faults::armed_for("serve-fuel-exhausted", &req.tag) {
-        fuel = fuel.min(1_000);
-    }
-    let mut fb32 = d16_mem::FetchBuffer::new(4);
-    let mut fb64 = d16_mem::FetchBuffer::new(8);
-    let mut rec = TraceRecorder::new();
     let t0 = Instant::now();
-    let mut machine = Machine::load(&image);
-    machine.set_pipeline(req.pspec);
-    let stop = {
-        let mut sink =
-            ServeSink { fb32: &mut fb32, fb64: &mut fb64, rec: req.sweep.then_some(&mut rec) };
-        machine.run_with(req.engine, fuel, &mut sink)
-    };
+    let (m, trace) = plan.run(&image).map_err(fail)?;
     let execute_ns = t0.elapsed().as_nanos() as u64;
-    let exit = match stop {
-        Ok(StopReason::Halted(code)) => code,
-        Ok(StopReason::OutOfFuel) => return Err(ApiError::FuelExhausted { fuel }),
-        Err(e) => return Err(ApiError::Internal(format!("simulator fault: {e}"))),
-    };
     check_deadline(deadline)?;
 
-    let (sweep_json, sweep_ns) = if req.sweep {
-        if let Some(e) = rec.error() {
-            return Err(ApiError::Internal(format!("trace: {e}")));
+    let (sweep_json, sweep_ns) = match trace {
+        Some(trace) => {
+            let t0 = Instant::now();
+            let bank = cache_grid_sweep(&trace)
+                .map_err(|e| ApiError::Internal(format!("cache config: {e}")))?;
+            let rows: Vec<Json> = bank
+                .into_systems()
+                .into_iter()
+                .map(|sys| {
+                    let (i, d) = (*sys.icache(), *sys.dcache());
+                    Json::obj()
+                        .with("config", sys.label())
+                        .with("ic_reads", i.reads)
+                        .with("ic_read_misses", i.read_misses)
+                        .with("ic_bytes_in", i.demand_bytes_in + i.prefetch_bytes_in)
+                        .with("dc_reads", d.reads)
+                        .with("dc_read_misses", d.read_misses)
+                        .with("dc_writes", d.writes)
+                        .with("dc_write_misses", d.write_misses)
+                        .with("dc_bytes_in", d.demand_bytes_in + d.prefetch_bytes_in)
+                        .with("dc_bytes_out", d.bytes_out)
+                })
+                .collect();
+            (Json::Arr(rows), t0.elapsed().as_nanos() as u64)
         }
-        let t0 = Instant::now();
-        let mut bank = d16_mem::CacheBank::symmetric(&cache_grid_configs())
-            .map_err(|e| ApiError::Internal(format!("cache config: {e}")))?;
-        rec.replay(&mut bank);
-        let rows: Vec<Json> = bank
-            .into_systems()
-            .into_iter()
-            .map(|sys| {
-                let (i, d) = (*sys.icache(), *sys.dcache());
-                Json::obj()
-                    .with("config", sys.label())
-                    .with("ic_reads", i.reads)
-                    .with("ic_read_misses", i.read_misses)
-                    .with("ic_bytes_in", i.demand_bytes_in + i.prefetch_bytes_in)
-                    .with("dc_reads", d.reads)
-                    .with("dc_read_misses", d.read_misses)
-                    .with("dc_writes", d.writes)
-                    .with("dc_write_misses", d.write_misses)
-                    .with("dc_bytes_in", d.demand_bytes_in + d.prefetch_bytes_in)
-                    .with("dc_bytes_out", d.bytes_out)
-            })
-            .collect();
-        (Json::Arr(rows), t0.elapsed().as_nanos() as u64)
-    } else {
-        (Json::Null, 0)
+        None => (Json::Null, 0),
     };
 
-    let stats = machine.stats();
+    let stats = &m.stats;
     let mut doc = Json::obj()
         .with("schema", SERVE_TAG)
         .with("ok", true)
-        .with("target", req.spec.label())
-        .with(
-            "opt",
-            match req.opt {
-                OptLevel::O0 => "O0",
-                OptLevel::O2 => "O2",
-            },
-        )
-        .with("exit", f64::from(exit))
-        .with("text_bytes", image.text.len())
+        .with("target", m.target.as_str())
+        .with("opt", req.opt.name())
+        .with("exit", f64::from(m.exit))
+        .with("text_bytes", m.text_bytes)
         .with(
             "stats",
             Json::obj()
@@ -523,8 +459,8 @@ pub fn run(
                 .with("taken_branches", stats.taken_branches)
                 .with("nops", stats.nops),
         )
-        .with("ireq_bus32", fb32.irequests)
-        .with("ireq_bus64", fb64.irequests)
+        .with("ireq_bus32", m.ireq_bus32)
+        .with("ireq_bus64", m.ireq_bus64)
         .with("sweep", sweep_json);
     // Only a retimed machine reports its pipeline (and the two counters
     // the default spec holds at zero): bodies of default-spec requests
@@ -598,6 +534,16 @@ mod tests {
             assert!(matches!(err, ApiError::BadRequest(_)), "{body}: {err:?}");
             assert!(err.message().contains(want), "{body}: {}", err.message());
         }
+        // Every standard target parses, and the diagnostic lists them all.
+        let err = RunRequest::parse(br#"{"workload":"towers","target":"X86"}"#, cap).unwrap_err();
+        for spec in standard_specs() {
+            let label = spec.label();
+            let body = format!(r#"{{"workload":"towers","target":"{label}"}}"#);
+            let req = RunRequest::parse(body.as_bytes(), cap).unwrap();
+            assert_eq!(req.spec, spec, "{label}");
+            assert!(err.message().contains(&label), "{label}: {}", err.message());
+        }
+        assert!(err.message().contains("D16x/16/3"), "{}", err.message());
     }
 
     #[test]

@@ -254,6 +254,13 @@ impl TraceRecorder {
         &self.bytes
     }
 
+    /// Consumes the recorder, returning the bytes
+    /// [`TraceRecorder::encoded_bytes`] borrows without copying them.
+    #[must_use]
+    pub fn into_encoded(self) -> Vec<u8> {
+        self.bytes
+    }
+
     /// Rebuilds a recorder from bytes captured by
     /// [`TraceRecorder::encoded_bytes`] holding `len` references.
     ///
@@ -473,6 +480,8 @@ mod tests {
         r.replay(&mut NullSink);
         let restored = TraceRecorder::from_encoded(r.encoded_bytes().to_vec(), r.len()).unwrap();
         assert_eq!(restored, r, "trace content equal");
+        let moved = TraceRecorder::from_encoded(r.clone().into_encoded(), r.len()).unwrap();
+        assert_eq!(moved, r, "the consumed encoding restores the same trace");
         assert_eq!(restored.replay_count(), 0, "replays are bookkeeping, not content");
         // The recovered encoder state appends identically to the original.
         let (mut a, mut b) = (r, restored);

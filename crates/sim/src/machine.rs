@@ -423,7 +423,7 @@ impl Machine {
 
     /// Overrides the pipeline timing model and resets the predictor
     /// state. Call before running; the block engine detects the change
-    /// and relowers its cache ([`crate::engine::BlockEngine::matches`]).
+    /// and relowers its cache (see [`crate::BlockEngine`]).
     pub fn set_pipeline(&mut self, spec: PipelineSpec) {
         self.pspec = spec;
         *self.bp = [0; BP_ENTRIES];
@@ -546,7 +546,7 @@ impl Machine {
         }
     }
 
-    /// Runs under the basic-block micro-op engine (see [`crate::engine`]):
+    /// Runs under the basic-block micro-op engine (see [`crate::BlockEngine`]):
     /// straight-line runs of instructions are decoded and lowered once,
     /// then dispatched from a block cache with no per-instruction decode.
     /// Rare instructions, faults, and fuel edges fall back to

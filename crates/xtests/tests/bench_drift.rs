@@ -11,7 +11,7 @@
 //! ```
 
 use d16_bench::json::Json;
-use d16_core::{experiments as ex, Suite};
+use d16_core::{experiments as ex, Plan, Source, Suite};
 use d16_isa::Isa;
 
 fn checked_in_report() -> Json {
@@ -40,7 +40,10 @@ fn fresh_run_matches_checked_in_bench_report() {
     );
 
     let t0 = std::time::Instant::now();
-    let suite = Suite::collect_jobs(d16_core::default_jobs()).expect("collect full grid");
+    let all: Vec<_> = d16_workloads::SUITE.iter().collect();
+    let plan = Plan { trace: true, ..Plan::default() };
+    let suite = Suite::collect(&plan, &all, &d16_core::standard_specs(), d16_core::default_jobs())
+        .expect("collect full grid");
     let collect_ns = t0.elapsed().as_nanos() as u64;
 
     // --- counts: exact -------------------------------------------------
@@ -140,7 +143,8 @@ fn block_engine_speedup_floor() {
     for name in ["queens", "towers", "latex"] {
         let w = d16_workloads::by_name(name).expect("suite workload");
         for spec in d16_core::base_specs() {
-            let image = d16_core::build(w, &spec).expect("build workload");
+            let plan = Plan { source: Source::Workload(w), target: spec, ..Plan::default() };
+            let image = plan.build().expect("build workload");
             for (engine, acc) in
                 [(Engine::Interp, &mut interp_ns), (Engine::Blocks, &mut blocks_ns)]
             {

@@ -11,18 +11,36 @@
 //! cell of the paper's grid and runs in CI release builds.
 
 use d16_cc::TargetSpec;
-use d16_core::{
-    measure_stored_spec, measure_with, standard_specs, Engine, PipelineSpec, Predictor,
-};
+use d16_core::{standard_specs, Engine, PipelineSpec, Plan, Predictor, Source};
 use d16_workloads::Workload;
+
+/// The traced cell (`w`, `spec`) on `engine`.
+fn traced<'a>(
+    w: &'a Workload,
+    spec: &TargetSpec,
+    pipeline: PipelineSpec,
+    engine: Engine,
+) -> Plan<'a> {
+    Plan {
+        source: Source::Workload(w),
+        target: spec.clone(),
+        pipeline,
+        engine,
+        trace: true,
+        ..Plan::default()
+    }
+}
 
 /// Measures one cell under both engines and asserts every observable
 /// output is identical.
 fn assert_cell_identical(w: &Workload, spec: &TargetSpec) {
     let label = format!("({}, {})", w.name, spec.label());
-    let (a, ta) = measure_with(w, spec, true, Engine::Interp)
+    let pipeline = PipelineSpec::default();
+    let (a, ta) = traced(w, spec, pipeline, Engine::Interp)
+        .measure()
         .unwrap_or_else(|e| panic!("{label} interp: {e}"));
-    let (b, tb) = measure_with(w, spec, true, Engine::Blocks)
+    let (b, tb) = traced(w, spec, pipeline, Engine::Blocks)
+        .measure()
         .unwrap_or_else(|e| panic!("{label} blocks: {e}"));
     assert_eq!(a.exit, b.exit, "{label}: exit checksum");
     assert_eq!(a.stats, b.stats, "{label}: pipeline statistics");
@@ -62,9 +80,11 @@ fn engines_agree_at_depth_eight_with_twobit_predictor() {
         let w = d16_workloads::by_name(name).expect("suite workload");
         for spec in standard_specs() {
             let label = format!("({}, {}, depth 8 twobit)", w.name, spec.label());
-            let (a, ta) = measure_stored_spec(w, &spec, true, None, Engine::Interp, deep)
+            let (a, ta) = traced(w, &spec, deep, Engine::Interp)
+                .measure()
                 .unwrap_or_else(|e| panic!("{label} interp: {e}"));
-            let (b, tb) = measure_stored_spec(w, &spec, true, None, Engine::Blocks, deep)
+            let (b, tb) = traced(w, &spec, deep, Engine::Blocks)
+                .measure()
                 .unwrap_or_else(|e| panic!("{label} blocks: {e}"));
             assert_eq!(a.exit, b.exit, "{label}: exit checksum");
             assert_eq!(a.stats, b.stats, "{label}: pipeline statistics");

@@ -4,13 +4,13 @@
 //! reproduces" — if a compiler or simulator change moves the averages out
 //! of these windows, the paper-vs-measured story needs re-checking.
 
-use d16_core::{experiments as ex, standard_specs, Suite};
+use d16_core::{default_jobs, experiments as ex, standard_specs, Plan, Suite};
 use d16_workloads::SUITE;
 
 #[test]
 fn headline_averages_stay_in_band() {
     let all: Vec<_> = SUITE.iter().collect();
-    let suite = Suite::collect_for(&all, &standard_specs(), false).unwrap();
+    let suite = Suite::collect(&Plan::default(), &all, &standard_specs(), default_jobs()).unwrap();
 
     // Figure 4: "DLXe programs average approximately 1.5 times the size".
     // Measured 1.49 on the full suite (EXPERIMENTS.md).

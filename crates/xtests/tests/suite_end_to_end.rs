@@ -3,7 +3,7 @@
 //! gate for the compiler, assembler, linker and pipeline.
 
 use d16_cc::TargetSpec;
-use d16_core::{measure, standard_specs};
+use d16_core::{standard_specs, Plan, Source};
 use d16_workloads::SUITE;
 
 /// Runs one workload across all five grid configurations and checks
@@ -12,9 +12,10 @@ fn check_workload(name: &str) {
     let w = d16_workloads::by_name(name).unwrap();
     let mut exits: Vec<(String, i32)> = Vec::new();
     for spec in standard_specs() {
-        let (m, _) =
-            measure(w, &spec, false).unwrap_or_else(|e| panic!("{name} on {}: {e}", spec.label()));
-        exits.push((spec.label(), m.exit));
+        let label = spec.label();
+        let plan = Plan { source: Source::Workload(w), target: spec, ..Plan::default() };
+        let (m, _) = plan.measure().unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
+        exits.push((label, m.exit));
     }
     let first = exits[0].1;
     for (label, exit) in &exits {
@@ -51,8 +52,9 @@ fn suite_is_complete() {
 #[test]
 fn d16_is_denser_on_every_workload() {
     for w in SUITE {
-        let (d16, _) = measure(w, &TargetSpec::d16(), false).unwrap();
-        let (dlxe, _) = measure(w, &TargetSpec::dlxe(), false).unwrap();
+        let on = |target| Plan { source: Source::Workload(w), target, ..Plan::default() };
+        let (d16, _) = on(TargetSpec::d16()).measure().unwrap();
+        let (dlxe, _) = on(TargetSpec::dlxe()).measure().unwrap();
         assert!(
             d16.text_bytes < dlxe.text_bytes,
             "{}: D16 text {} !< DLXe text {}",

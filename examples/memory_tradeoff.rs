@@ -6,7 +6,7 @@
 //! cargo run --release -p d16-core --example memory_tradeoff [wait_states] [bus_bits]
 //! ```
 
-use d16_core::{base_specs, Suite};
+use d16_core::{base_specs, default_jobs, Plan, Suite};
 use d16_workloads::SUITE;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
 
     eprintln!("measuring the suite on both machines...");
     let all: Vec<_> = SUITE.iter().collect();
-    let suite = match Suite::collect_for(&all, &base_specs(), false) {
+    let suite = match Suite::collect(&Plan::default(), &all, &base_specs(), default_jobs()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("measurement failed: {e}");

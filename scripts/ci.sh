@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The CI gate suite. Run everything with no arguments, or name the gates
-# to run: fmt clippy build test smoke determinism engine store faults
+# to run: fmt clippy doc build test smoke determinism engine store faults
 # panics drift fuzz serve.
 #
 #   ./scripts/ci.sh                  # all gates, in order
@@ -24,6 +24,14 @@ gate_fmt() {
 gate_clippy() {
     step "clippy (deny warnings, all targets)"
     cargo clippy --workspace --all-targets -- -D warnings
+}
+
+gate_doc() {
+    # Broken or private intra-doc links, ambiguous link targets and bad
+    # doc markup fail the build, so docs cannot keep naming functions
+    # that no longer exist.
+    step "rustdoc (deny warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 }
 
 gate_build() {
@@ -177,7 +185,7 @@ gate_panics() {
     # No panicking macro or .unwrap() may appear on a library crate's
     # non-test paths; .expect()/unreachable!() with a justification
     # message are allowed for true invariants. The allowlist holds the
-    # few reviewed exceptions (currently the #[deprecated] accessors).
+    # few reviewed exceptions (currently one doc-comment example line).
     step "panics: grep gate over library crate sources"
     local bad=0 crate f hits
     for crate in core cc sim asm mem store fuzz serve; do
@@ -263,11 +271,11 @@ gate_serve() {
     cargo test --release --locked --offline -p d16-xtests --test store_concurrent
 }
 
-ALL_GATES=(fmt clippy build test smoke determinism engine store faults panics drift fuzz serve)
+ALL_GATES=(fmt clippy doc build test smoke determinism engine store faults panics drift fuzz serve)
 gates=("${@:-${ALL_GATES[@]}}")
 for g in "${gates[@]}"; do
     case "$g" in
-    fmt | clippy | build | test | smoke | determinism | engine | store | faults | panics | drift | fuzz | serve) "gate_$g" ;;
+    fmt | clippy | doc | build | test | smoke | determinism | engine | store | faults | panics | drift | fuzz | serve) "gate_$g" ;;
     *)
         echo "unknown gate: $g (expected: ${ALL_GATES[*]})" >&2
         exit 2
