@@ -9,11 +9,34 @@
 //! feeds every access to all of them, so a trace is decoded and walked
 //! exactly once no matter how many geometries are under study.
 //!
-//! Each member system updates exactly as it would in a dedicated replay,
-//! so per-config statistics are bit-identical to N serial replays (a
-//! differential test in `tests/proptests.rs` asserts this).
+//! Two things keep the per-access cost of a wide bank down:
+//!
+//! * **A repeat-granule filter.** Per side (instruction fetches; data
+//!   reads and writes) the bank keeps the *granule* of the previous
+//!   access: the address shifted right by log2 of the smallest member
+//!   sub-block on that side. A fetch or read in the same granule as the
+//!   previous access on its side hits in every member and changes no
+//!   contents: that access left the sub-block valid (a read fetches it, a
+//!   write validates it) in a line that is now its set's most recently
+//!   used, and nothing else has touched that cache since. Skipping the LRU
+//!   update therefore leaves every set's replacement order as it was.
+//!   Such repeats are counted once, as pending hits, and added to each
+//!   member's `reads` and `read.hits` in bulk. Writes always take the full
+//!   path, since they set dirty bits.
+//! * **Member-major order.** The remaining accesses are queued per side
+//!   and run through one member cache at a time, so a member's geometry
+//!   and counters stay hot across the batch. The I and D caches of a
+//!   system are independent, so each side's queue keeps its own order.
+//!
+//! A full queue, and every accessor that exposes the members
+//! ([`CacheBank::systems`], [`CacheBank::into_systems`],
+//! [`CacheBank::export_telemetry`]), first runs what is queued; there is
+//! no separate finish step. So each member's statistics and telemetry are
+//! bit-identical to a dedicated replay (a differential test in
+//! `tests/proptests.rs` asserts this), and the sweep counters still count
+//! every access.
 
-use crate::cache::{CacheConfig, ConfigError};
+use crate::cache::{Cache, CacheConfig, ConfigError};
 use crate::system::CacheSystem;
 use d16_sim::AccessSink;
 use d16_telemetry::{Counters, Registry};
@@ -32,17 +55,74 @@ d16_telemetry::counter_schema! {
     }
 }
 
+/// Accesses a side queues before running them through the members.
+const QUEUE: usize = 1024;
+
+/// One side's repeat-granule filter and queue (see the module docs).
+#[derive(Clone, Debug)]
+struct Side {
+    /// log2 of the smallest member sub-block on this side.
+    shift: u32,
+    /// Granule of the previous access on this side; `u32::MAX` before
+    /// the first (no address shifted by a sub-block of at least 4 bytes
+    /// reaches it, and an empty bank has no member to count into).
+    last: u32,
+    /// Repeat reads not yet counted in the members.
+    pending: u64,
+    /// Other accesses (address, is-write), in order, not yet run.
+    queue: Vec<(u32, bool)>,
+}
+
+impl Side {
+    fn new(sub_blocks: impl Iterator<Item = u32>) -> Self {
+        let shift = sub_blocks.min().map_or(0, u32::trailing_zeros);
+        Side { shift, last: u32::MAX, pending: 0, queue: Vec::with_capacity(QUEUE) }
+    }
+
+    /// Takes one access; returns whether the queue is now full.
+    #[inline]
+    fn push(&mut self, addr: u32, is_write: bool) -> bool {
+        let granule = addr >> self.shift;
+        let repeat = granule == self.last;
+        self.last = granule;
+        if repeat && !is_write {
+            self.pending += 1;
+            false
+        } else {
+            self.queue.push((addr, is_write));
+            self.queue.len() == QUEUE
+        }
+    }
+
+    /// Runs the pending hits and the queue through each member's cache
+    /// on this side, then empties both.
+    fn drain<'a>(&mut self, caches: impl Iterator<Item = &'a mut Cache>) {
+        for cache in caches {
+            cache.run(&self.queue, self.pending);
+        }
+        self.pending = 0;
+        self.queue.clear();
+    }
+}
+
 /// N independent split-cache systems fed by one access stream.
 #[derive(Clone, Debug)]
 pub struct CacheBank {
     systems: Vec<CacheSystem>,
     tele: Counters,
+    fetches: Side,
+    data: Side,
 }
 
 impl CacheBank {
     /// Builds a bank from pre-constructed systems.
     pub fn new(systems: Vec<CacheSystem>) -> Self {
-        CacheBank { systems, tele: Counters::new(&BANK_SCHEMA) }
+        CacheBank {
+            fetches: Side::new(systems.iter().map(|s| s.iconfig().sub_block)),
+            data: Side::new(systems.iter().map(|s| s.dconfig().sub_block)),
+            systems,
+            tele: Counters::new(&BANK_SCHEMA),
+        }
     }
 
     /// Builds a bank of symmetric systems (equal I and D configuration),
@@ -69,14 +149,18 @@ impl CacheBank {
         self.systems.is_empty()
     }
 
-    /// The member systems, in construction order.
-    pub fn systems(&self) -> &[CacheSystem] {
+    /// The member systems, in construction order, with every access fed
+    /// so far counted.
+    pub fn systems(&mut self) -> &[CacheSystem] {
+        self.drain_fetches();
+        self.drain_data();
         &self.systems
     }
 
     /// Consumes the bank, returning the member systems with their
     /// accumulated statistics.
-    pub fn into_systems(self) -> Vec<CacheSystem> {
+    pub fn into_systems(mut self) -> Vec<CacheSystem> {
+        self.systems();
         self.systems
     }
 
@@ -91,33 +175,41 @@ impl CacheBank {
     /// counters under `<prefix>.cfg.<label>.{icache,dcache}.*` (systems
     /// with identical geometry merge into one entry). A no-op with
     /// telemetry compiled out.
-    pub fn export_telemetry(&self, reg: &mut Registry, prefix: &str) {
+    pub fn export_telemetry(&mut self, reg: &mut Registry, prefix: &str) {
         reg.absorb(prefix, &self.tele);
-        for s in &self.systems {
+        for s in self.systems() {
             s.export_telemetry(reg, &format!("{prefix}.cfg.{}", s.label()));
         }
+    }
+
+    fn drain_fetches(&mut self) {
+        self.fetches.drain(self.systems.iter_mut().map(|s| s.caches_mut().0));
+    }
+
+    fn drain_data(&mut self) {
+        self.data.drain(self.systems.iter_mut().map(|s| s.caches_mut().1));
     }
 }
 
 impl AccessSink for CacheBank {
-    fn fetch(&mut self, addr: u32, bytes: u8) {
+    fn fetch(&mut self, addr: u32, _bytes: u8) {
         self.tele.bump(BankCounter::Fetches);
-        for s in &mut self.systems {
-            s.fetch(addr, bytes);
+        if self.fetches.push(addr, false) {
+            self.drain_fetches();
         }
     }
 
-    fn read(&mut self, addr: u32, bytes: u8) {
+    fn read(&mut self, addr: u32, _bytes: u8) {
         self.tele.bump(BankCounter::Reads);
-        for s in &mut self.systems {
-            s.read(addr, bytes);
+        if self.data.push(addr, false) {
+            self.drain_data();
         }
     }
 
-    fn write(&mut self, addr: u32, bytes: u8) {
+    fn write(&mut self, addr: u32, _bytes: u8) {
         self.tele.bump(BankCounter::Writes);
-        for s in &mut self.systems {
-            s.write(addr, bytes);
+        if self.data.push(addr, true) {
+            self.drain_data();
         }
     }
 }
@@ -185,6 +277,61 @@ mod tests {
         } else {
             assert!(reg.is_empty());
         }
+    }
+
+    #[test]
+    fn trailing_repeat_run_is_counted_without_a_finish_step() {
+        // One paper geometry and one with 4-byte sub-blocks, so the
+        // filter granule is 4 bytes.
+        let cfgs = [
+            CacheConfig::paper(1024, 32),
+            CacheConfig { size: 2048, block: 16, sub_block: 4, assoc: 2, wrap_prefetch: false },
+        ];
+        let mut bank = CacheBank::symmetric(&cfgs).unwrap();
+        let mut solo: Vec<CacheSystem> =
+            cfgs.iter().map(|c| CacheSystem::new(*c, *c).unwrap()).collect();
+        let mut both = |f: &dyn Fn(&mut dyn AccessSink)| {
+            f(&mut bank);
+            solo.iter_mut().for_each(|s| f(s));
+        };
+        // A cold fetch miss, then three fetches in the same granule.
+        both(&|s| s.fetch(0x100, 2));
+        both(&|s| s.fetch(0x102, 2));
+        both(&|s| s.fetch(0x100, 2));
+        both(&|s| s.fetch(0x102, 2));
+        // A write miss, then two reads of the word it validated.
+        both(&|s| s.write(0x2000, 4));
+        both(&|s| s.read(0x2000, 4));
+        both(&|s| s.read(0x2002, 2));
+
+        // Read right away: nothing to call first.
+        if d16_telemetry::ENABLED {
+            assert_eq!(bank.telemetry().get(BankCounter::Fetches), 4);
+            assert_eq!(bank.telemetry().get(BankCounter::Reads), 2);
+            assert_eq!(bank.telemetry().get(BankCounter::Writes), 1);
+        }
+        for (b, s) in bank.systems().iter().zip(&solo) {
+            assert_eq!(b.icache(), s.icache());
+            assert_eq!(b.dcache(), s.dcache());
+            assert_eq!((b.icache().reads, b.icache().read_misses), (4, 1));
+            assert_eq!((b.dcache().reads, b.dcache().read_misses), (2, 0));
+            assert_eq!((b.dcache().writes, b.dcache().write_misses), (1, 1));
+            b.reconciles().unwrap();
+        }
+        let mut banked = Registry::new();
+        bank.export_telemetry(&mut banked, "grid");
+        let mut dedicated = Registry::new();
+        for s in &solo {
+            s.export_telemetry(&mut dedicated, &format!("grid.cfg.{}", s.label()));
+        }
+        if d16_telemetry::ENABLED {
+            assert_eq!(banked.counter("grid.sweep.fetches"), Some(4));
+            assert_eq!(banked.counter("grid.sweep.reads"), Some(2));
+            assert_eq!(banked.counter("grid.cfg.1024B.b32.s8.a1.icache.read.hits"), Some(3));
+            assert_eq!(banked.counter("grid.cfg.2048B.b16.s4.a2.np.dcache.read.hits"), Some(2));
+        }
+        let members: Vec<_> = banked.counters().filter(|(k, _)| k.contains(".cfg.")).collect();
+        assert_eq!(members, dedicated.counters().collect::<Vec<_>>());
     }
 
     #[test]

@@ -219,10 +219,43 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    geom: Geometry,
     lines: Vec<Line>, // sets * assoc
     tick: u64,
     stats: CacheStats,
     tele: Counters,
+}
+
+/// Shifts and masks that split an address, precomputed once from a
+/// validated (all powers of two) [`CacheConfig`] so an access does no
+/// division.
+#[derive(Copy, Clone, Debug)]
+struct Geometry {
+    /// log2(block): address -> block address.
+    block_shift: u32,
+    /// sets - 1: block address -> set.
+    set_mask: u32,
+    /// log2(sets): block address -> tag.
+    set_shift: u32,
+    /// log2(assoc): set -> index of its first way in `lines`.
+    assoc_shift: u32,
+    /// log2(sub_block): address -> sub-block number.
+    sub_shift: u32,
+    /// subs_per_block - 1: sub-block number -> index within the block.
+    sub_mask: u32,
+}
+
+impl Geometry {
+    fn new(cfg: &CacheConfig) -> Self {
+        Geometry {
+            block_shift: cfg.block.trailing_zeros(),
+            set_mask: cfg.sets() - 1,
+            set_shift: cfg.sets().trailing_zeros(),
+            assoc_shift: cfg.assoc.trailing_zeros(),
+            sub_shift: cfg.sub_block.trailing_zeros(),
+            sub_mask: cfg.subs_per_block() - 1,
+        }
+    }
 }
 
 impl Cache {
@@ -236,6 +269,7 @@ impl Cache {
         let n = (cfg.sets() * cfg.assoc) as usize;
         Ok(Cache {
             cfg,
+            geom: Geometry::new(&cfg),
             lines: (0..n).map(|_| Line { tag: 0, valid: 0, dirty: 0, lru: 0 }).collect(),
             tick: 0,
             stats: CacheStats::default(),
@@ -285,39 +319,93 @@ impl Cache {
         hit
     }
 
-    fn touch(&mut self, addr: u32, is_write: bool) -> bool {
-        self.tick += 1;
-        let cfg = self.cfg;
-        let block_addr = addr / cfg.block;
-        let set = block_addr % cfg.sets();
-        let tag = block_addr / cfg.sets();
-        let sub = (addr % cfg.block) / cfg.sub_block;
-        let base = (set * cfg.assoc) as usize;
-        let ways = &mut self.lines[base..base + cfg.assoc as usize];
-
-        // Look for a tag match.
-        if let Some(way) = ways.iter_mut().find(|w| w.valid != 0 && w.tag == tag) {
-            way.lru = self.tick;
-            let present = way.valid & (1 << sub) != 0;
+    /// Runs a batch of accesses (address, is-write) in order, plus
+    /// `repeat_hits` demand reads that hit without touching the contents:
+    /// [`crate::CacheBank`]'s repeat-granule filter has shown that each
+    /// of them finds its sub-block valid in a line that is already the
+    /// most recently used. Counts exactly as the equivalent sequence of
+    /// [`Cache::read`] and [`Cache::write`] calls.
+    pub(crate) fn run(&mut self, accesses: &[(u32, bool)], repeat_hits: u64) {
+        let (mut reads, mut hits) = (repeat_hits, repeat_hits);
+        for &(addr, is_write) in accesses {
             if is_write {
-                way.valid |= 1 << sub;
-                way.dirty |= 1 << sub;
-                return present;
+                self.write(addr);
+            } else {
+                reads += 1;
+                hits += u64::from(self.touch(addr, false));
             }
-            if present {
+        }
+        self.stats.reads += reads;
+        self.stats.read_misses += reads - hits;
+        self.tele.add(MemCounter::ReadHits, hits);
+        self.tele.add(MemCounter::ReadMisses, reads - hits);
+    }
+
+    /// One access. A read of a valid sub-block, the common case, is
+    /// handled inline; everything else goes to [`Cache::update`].
+    #[inline]
+    fn touch(&mut self, addr: u32, is_write: bool) -> bool {
+        let g = self.geom;
+        let block_addr = addr >> g.block_shift;
+        let tag = block_addr >> g.set_shift;
+        let base = ((block_addr & g.set_mask) << g.assoc_shift) as usize;
+        let sub = (addr >> g.sub_shift) & g.sub_mask;
+        // Direct-mapped (the paper's organization): one way per set, so
+        // no search and no LRU tick — `lru` only orders ways in a set.
+        if g.assoc_shift == 0 {
+            let w = &self.lines[base];
+            if !is_write && w.tag == tag && w.valid & (1 << sub) != 0 {
                 return true;
             }
+            let way = (w.valid != 0 && w.tag == tag).then_some(0);
+            return self.update(base, way, tag, sub, is_write);
+        }
+        self.tick += 1;
+        let ways = &mut self.lines[base..base + (1 << g.assoc_shift)];
+        let way = ways.iter().position(|w| w.valid != 0 && w.tag == tag);
+        match way {
+            Some(i) if !is_write && ways[i].valid & (1 << sub) != 0 => {
+                ways[i].lru = self.tick;
+                true
+            }
+            _ => self.update(base, way, tag, sub, is_write),
+        }
+    }
+
+    /// The rest of [`Cache::touch`]: a write, a sub-block miss under a
+    /// matching tag (`way`, counted from `base`), or a tag miss.
+    #[inline(never)]
+    fn update(
+        &mut self,
+        base: usize,
+        way: Option<usize>,
+        tag: u32,
+        sub: u32,
+        is_write: bool,
+    ) -> bool {
+        let cfg = self.cfg;
+        let bit = 1u64 << sub;
+        let next_bit = 1u64 << ((sub + 1) & self.geom.sub_mask);
+        let prefetch = cfg.wrap_prefetch && self.geom.sub_mask != 0;
+        let ways = &mut self.lines[base..base + cfg.assoc as usize];
+
+        if let Some(i) = way {
+            let way = &mut ways[i];
+            way.lru = self.tick;
+            let present = way.valid & bit != 0;
+            if is_write {
+                way.valid |= bit;
+                way.dirty |= bit;
+                return present;
+            }
             // Tag hit, sub-block miss: demand-fetch + wrap-around prefetch.
-            way.valid |= 1 << sub;
+            way.valid |= bit;
             self.stats.demand_bytes_in += cfg.sub_block as u64;
             self.tele.bump(MemCounter::DemandFetches);
-            if cfg.wrap_prefetch && cfg.subs_per_block() > 1 {
-                let nxt = (sub + 1) % cfg.subs_per_block();
-                if way.valid & (1 << nxt) == 0 {
-                    way.valid |= 1 << nxt;
-                    self.stats.prefetch_bytes_in += cfg.sub_block as u64;
-                    self.tele.bump(MemCounter::Prefetches);
-                }
+            if prefetch && way.valid & next_bit == 0 {
+                way.valid |= next_bit;
+                self.stats.prefetch_bytes_in += cfg.sub_block as u64;
+                self.tele.bump(MemCounter::Prefetches);
             }
             return false;
         }
@@ -331,17 +419,16 @@ impl Cache {
         self.stats.bytes_out += dirty_subs * cfg.sub_block as u64;
         self.tele.add(MemCounter::Writebacks, dirty_subs);
         victim.tag = tag;
-        victim.valid = 1 << sub;
+        victim.valid = bit;
         victim.dirty = 0;
         victim.lru = self.tick;
         if is_write {
-            victim.dirty = 1 << sub;
+            victim.dirty = bit;
         } else {
             self.stats.demand_bytes_in += cfg.sub_block as u64;
             self.tele.bump(MemCounter::DemandFetches);
-            if cfg.wrap_prefetch && cfg.subs_per_block() > 1 {
-                let nxt = (sub + 1) % cfg.subs_per_block();
-                victim.valid |= 1 << nxt;
+            if prefetch {
+                victim.valid |= next_bit;
                 self.stats.prefetch_bytes_in += cfg.sub_block as u64;
                 self.tele.bump(MemCounter::Prefetches);
             }

@@ -108,6 +108,12 @@ impl CacheSystem {
         Ok(())
     }
 
+    /// Both caches, mutably: [`crate::CacheBank`] feeds each side from
+    /// its own queue.
+    pub(crate) fn caches_mut(&mut self) -> (&mut Cache, &mut Cache) {
+        (&mut self.icache, &mut self.dcache)
+    }
+
     /// Demand misses across both caches.
     pub fn total_misses(&self) -> u64 {
         self.icache.stats().misses() + self.dcache.stats().misses()

@@ -7,13 +7,17 @@
 
 use d16_mem::{Cache, CacheBank, CacheConfig, CacheSystem, FetchBuffer};
 use d16_sim::{AccessSink, TraceRecorder};
+use d16_telemetry::Registry;
 use d16_testkit::{cases, Rng};
 
+/// A valid geometry: blocks of 8-64 bytes, sub-blocks of 4 bytes up to
+/// the whole block, direct-mapped or 2-way.
 fn config(rng: &mut Rng) -> CacheConfig {
+    let block_log = 3 + rng.below(4);
     CacheConfig {
         size: 1024 << rng.below(4),
-        block: 16 << rng.below(3),
-        sub_block: 8,
+        block: 1 << block_log,
+        sub_block: 4 << rng.below(block_log - 1),
         assoc: 1 << rng.below(2),
         wrap_prefetch: rng.bool(),
     }
@@ -149,41 +153,80 @@ fn split_system_routing() {
     });
 }
 
-/// The differential gate for the single-pass engine: feeding a random
-/// trace through a [`CacheBank`] of N configurations must produce, for
-/// every member, statistics bit-identical to a dedicated serial replay of
-/// the same trace through that configuration alone.
+/// A trace with all three access kinds and mixed widths. Fetches step
+/// by 2 or 4 bytes (2-byte steps make long same-granule runs), and data
+/// accesses include read-after-write and re-reads of the same word. Half
+/// the traces end inside a run of repeated fetches and reads.
+fn bank_trace(rng: &mut Rng) -> TraceRecorder {
+    let mut trace = TraceRecorder::new();
+    let n = 200 + rng.below(2000);
+    let step = if rng.bool() { 2 } else { 4 };
+    let mut pc = 0x1000u32;
+    let mut data = 0u32;
+    for _ in 0..n {
+        match rng.below(6) {
+            0..=2 => {
+                trace.fetch(pc, step as u8);
+                // Mostly sequential with occasional branches, like a
+                // real instruction stream.
+                pc = if rng.below(8) == 0 { rng.below(16384) * 2 } else { pc + step };
+            }
+            3 => {
+                data = rng.below(16384) * 4;
+                trace.read(data, *rng.pick(&[1u8, 2, 4]));
+            }
+            4 => {
+                data = rng.below(16384) * 4;
+                trace.write(data, *rng.pick(&[1u8, 2, 4]));
+            }
+            // The word just read or written, again.
+            _ => trace.read(data + rng.below(4), 1),
+        }
+    }
+    if rng.bool() {
+        for i in 0..1 + rng.below(8) {
+            trace.fetch((pc & !3) + (i & 1) * 2, 2);
+            trace.read(data, 4);
+        }
+    }
+    trace
+}
+
+/// Every exported telemetry counter of one system.
+fn exported(s: &CacheSystem) -> Vec<(String, u64)> {
+    let mut reg = Registry::new();
+    s.export_telemetry(&mut reg, "sys");
+    reg.counters().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// The differential gate for the single-pass engine: feeding a trace
+/// through a [`CacheBank`] of N configurations must produce, for every
+/// member, statistics and telemetry bit-identical to a dedicated serial
+/// replay of the same trace through that configuration alone. Half the
+/// banks are symmetric; the other half give each member different I and
+/// D geometries.
 #[test]
 fn bank_single_pass_equals_serial_replays() {
-    cases(60, |case, rng| {
-        // A random trace with all three access kinds and mixed widths.
-        let mut trace = TraceRecorder::new();
-        let n = 200 + rng.below(2000);
-        let mut pc = 0x1000u32;
-        for _ in 0..n {
-            match rng.below(4) {
-                0 | 1 => {
-                    trace.fetch(pc, if rng.bool() { 2 } else { 4 });
-                    // Mostly sequential with occasional branches, like a
-                    // real instruction stream.
-                    pc = if rng.below(8) == 0 { rng.below(16384) * 2 } else { pc + 4 };
-                }
-                2 => trace.read(rng.below(16384) * 4, *rng.pick(&[1u8, 2, 4])),
-                _ => trace.write(rng.below(16384) * 4, *rng.pick(&[1u8, 2, 4])),
-            }
-        }
-        // A random set of 1-6 distinct-ish configurations.
+    cases(120, |case, rng| {
+        let trace = bank_trace(rng);
         let ncfg = 1 + rng.below(6) as usize;
-        let cfgs: Vec<CacheConfig> = (0..ncfg).map(|_| config(rng)).collect();
-
-        let mut bank = CacheBank::symmetric(&cfgs).unwrap();
+        let pairs: Vec<(CacheConfig, CacheConfig)> = if case % 2 == 0 {
+            (0..ncfg).map(|_| config(rng)).map(|c| (c, c)).collect()
+        } else {
+            (0..ncfg).map(|_| (config(rng), config(rng))).collect()
+        };
+        let mut bank =
+            CacheBank::new(pairs.iter().map(|&(i, d)| CacheSystem::new(i, d).unwrap()).collect());
         trace.replay(&mut bank);
 
-        for (cfg, banked) in cfgs.iter().zip(bank.systems()) {
-            let mut solo = CacheSystem::new(*cfg, *cfg).unwrap();
+        for (&(icfg, dcfg), banked) in pairs.iter().zip(bank.systems()) {
+            let mut solo = CacheSystem::new(icfg, dcfg).unwrap();
             trace.replay(&mut solo);
-            assert_eq!(banked.icache(), solo.icache(), "case {case}, cfg {cfg:?}");
-            assert_eq!(banked.dcache(), solo.dcache(), "case {case}, cfg {cfg:?}");
+            let at = format!("case {case}, i {icfg:?}, d {dcfg:?}");
+            assert_eq!(banked.icache(), solo.icache(), "{at}");
+            assert_eq!(banked.dcache(), solo.dcache(), "{at}");
+            assert_eq!(exported(banked), exported(&solo), "{at}");
+            banked.reconciles().unwrap();
         }
     });
 }

@@ -104,11 +104,11 @@ fn fresh_run_matches_checked_in_bench_report() {
         collect_ns as f64 / 1e9,
         pinned_collect as f64 / 1e9,
     );
-    // `engines_cold_ns` is merged into the pinned report at pin time:
+    // `engines_cold_ns`, when a pin carries it, is merged in by hand:
     // the cold `collect_ns` of an `--engine interp` and an
     // `--engine blocks` run on the same machine (EXPERIMENTS.md), so the
-    // engines' relative collection cost stays on record even though the
-    // pinned `collect_ns` itself comes from a warm store-served run.
+    // engines' relative collection cost stays on record next to the
+    // pinned single-engine timings.
     if let Some(engines) = pinned.get("engines_cold_ns") {
         let (interp_ns, blocks_ns) = (u(engines, "interp"), u(engines, "blocks"));
         eprintln!(

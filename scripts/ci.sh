@@ -40,6 +40,9 @@ gate_build() {
     # with the telemetry-enabled binaries the later gates exercise.
     step "release build, telemetry compiled out"
     cargo build --release --locked --offline --workspace --no-default-features
+    # The cache bank's bulk hit accounting must be exact in both modes.
+    step "d16-mem tests, telemetry compiled out"
+    cargo test --release --locked --offline -p d16-mem --no-default-features
     step "release build"
     cargo build --release --locked --offline --workspace
 }
