@@ -11,10 +11,10 @@ use d16_bench::harness::bench;
 use d16_core::{base_specs, default_jobs, experiments as ex, standard_specs, Plan, Suite};
 use std::hint::black_box;
 
-fn subset(names: &[&str], full_grid: bool, traces: bool) -> Suite {
+fn subset(names: &[&str], full_grid: bool, cache_grid: bool) -> Suite {
     let ws: Vec<_> = names.iter().map(|n| d16_workloads::by_name(n).unwrap()).collect();
     let specs = if full_grid { standard_specs() } else { base_specs().to_vec() };
-    let plan = Plan { trace: traces, ..Plan::default() };
+    let plan = Plan { cache_grid, ..Plan::default() };
     Suite::collect(&plan, &ws, &specs, default_jobs()).expect("collect")
 }
 

@@ -6,7 +6,7 @@ use d16_core::{Plan, Source};
 fn main() {
     for w in d16_workloads::SUITE.iter().chain(d16_workloads::EXTRAS) {
         match (Plan { source: Source::Workload(w), ..Plan::default() }).measure() {
-            Ok((m, _)) => println!("{}: {}", w.name, m.exit),
+            Ok(m) => println!("{}: {}", w.name, m.exit),
             Err(e) => println!("{}: ERROR {e}", w.name),
         }
     }

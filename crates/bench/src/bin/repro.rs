@@ -53,7 +53,6 @@ use d16_bench::report;
 use d16_core::report::{f2, f3, pct, Table};
 use d16_core::suite::standard_specs;
 use d16_core::{base_specs, default_jobs, experiments as ex, Engine, Plan, Source, Suite};
-use d16_isa::Isa;
 use d16_sim::{PipelineSpec, Predictor, PIPELINE_DEPTHS};
 use d16_store::Store;
 use d16_workloads::Workload;
@@ -229,9 +228,9 @@ fn main() {
         figs = vec![4, 5, 16, 17, 18, 19];
         tables = vec![13, 14];
     } else if !only.is_empty() && figs.is_empty() && tables.is_empty() {
-        // Everything derivable from the filtered grid. Table 4 re-runs
-        // the whole suite outside the grid, so it stays out of a
-        // filtered run unless asked for by number.
+        // Everything derivable from the filtered grid. Table 4 averages
+        // over the whole suite, so it stays out of a filtered run unless
+        // asked for by number.
         figs = vec![4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19];
         tables = vec![3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];
     }
@@ -285,7 +284,7 @@ fn main() {
     // One plan for every cell of the run: the grid collections fill in
     // each workload and target, the experiments their own.
     let plan =
-        Plan { pipeline: pspec, engine, trace: true, store: store.clone(), ..Plan::default() };
+        Plan { pipeline: pspec, engine, cache_grid: true, store: store.clone(), ..Plan::default() };
     let paper: Vec<&Workload> = d16_workloads::SUITE.iter().collect();
     let collect = |jobs: usize| {
         if smoke {
@@ -320,7 +319,7 @@ fn main() {
     // --- collect the extension workloads (the extended suite) ----------
     // The extension cells live in their own Suite so the main suite's
     // cell counts, telemetry and metrics dumps stay byte-identical to
-    // runs that predate the extended tables. No cache traces: the
+    // runs that predate the extended tables. No cache grids: the
     // distribution tables need only static size and path length.
     let xsuite = if extended {
         let extras: Vec<&Workload> = d16_workloads::EXTRAS.iter().collect();
@@ -330,7 +329,7 @@ fn main() {
         );
         let xstart = Instant::now();
         match Suite::collect(
-            &Plan { trace: false, ..plan.clone() },
+            &Plan { cache_grid: false, ..plan.clone() },
             &extras,
             &standard_specs(),
             jobs,
@@ -361,33 +360,15 @@ fn main() {
         eprintln!("skipped ({w}, {t}): {reason}");
     }
 
-    // --- warm the single-pass cache grids (the other timed phase) ------
-    let trace_keys: Vec<(String, Isa)> = suite
-        .traces
-        .keys()
-        .map(|(w, isa)| {
-            let isa = match isa.as_str() {
-                "D16" => Isa::D16,
-                "D16x" => Isa::D16x,
-                _ => Isa::Dlxe,
-            };
-            (w.clone(), isa)
-        })
-        .collect();
+    // --- the cache grids: swept inside the collected cells, so this
+    // phase only looks them up --------------------------------------------
     let start = Instant::now();
-    for (w, isa) in &trace_keys {
-        if let Err(e) = suite.cache_grid(w, *isa) {
-            eprintln!("skipped ({w}, grid {isa}): {e}");
-            skips.push((w.clone(), format!("grid {isa}"), e.to_string()));
-        }
-    }
+    let swept = suite.grids().count();
     let grid_ns = start.elapsed().as_nanos();
-    if !trace_keys.is_empty() {
+    if swept > 0 {
         eprintln!(
-            "cache grids ({} traces x {} configs) in {:.1}s",
-            trace_keys.len(),
-            ex::cache_grid_configs().len(),
-            grid_ns as f64 / 1e9
+            "cache grids ({swept} cells x {} configs) swept during collection",
+            ex::cache_grid_configs().len()
         );
     }
 
@@ -448,13 +429,12 @@ fn main() {
         }
     }
 
-    // Telemetry snapshot: every grid the run needed is warm by now, so
-    // the registry holds the sim counters, the per-config cache counters,
-    // and both phase spans.
+    // The registry holds the sim counters, the per-config cache counters
+    // and both phase spans, all absorbed at collection.
     let tele = suite.telemetry();
 
     if let Some(path) = metrics_json {
-        let doc = report::metrics_json(&tele, smoke, suite.cells.len(), suite.traces.len());
+        let doc = report::metrics_json(tele, smoke, suite.cells.len(), swept);
         if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);
@@ -464,15 +444,12 @@ fn main() {
 
     if let Some(path) = bench_json {
         let sweeps: Vec<Json> = suite
-            .traces
-            .iter()
-            .map(|((w, isa), t)| {
+            .grids()
+            .map(|(w, isa, g)| {
                 Json::obj()
-                    .with("workload", w.as_str())
-                    .with("isa", isa.as_str())
-                    .with("records", t.len())
-                    .with("memory_bytes", t.memory_bytes())
-                    .with("replays", t.replay_count())
+                    .with("workload", w)
+                    .with("isa", isa)
+                    .with("records", g.sweep.values().iter().sum::<u64>())
             })
             .collect();
         let cells: Vec<Json> = suite
@@ -499,7 +476,7 @@ fn main() {
             )
             .with("jobs", jobs)
             .with("cells", suite.cells.len())
-            .with("traces", suite.traces.len())
+            .with("traces", swept)
             .with("collect_ns", collect_ns)
             .with(
                 "cache_grid",
@@ -508,8 +485,8 @@ fn main() {
                     .with("configs", ex::cache_grid_configs().len())
                     .with("sweeps", sweeps),
             )
-            .with("counters", report::counters_json(&tele))
-            .with("spans", report::spans_json(&tele))
+            .with("counters", report::counters_json(tele))
+            .with("spans", report::spans_json(tele))
             .with("store", {
                 let st = store.as_ref().map(|s| s.stats()).unwrap_or_default();
                 Json::obj()
@@ -547,12 +524,12 @@ fn main() {
     }
 }
 
-/// Cells or traces the run never collected (a `--smoke` or `--only`
+/// Cells or grids the run never collected (a `--smoke` or `--only`
 /// subset) are an expected shape of the output, not a degradation; any
 /// other skip reason marks the run degraded (exit 3).
 fn fault_skip(e: &d16_core::SuiteError) -> bool {
     use d16_core::SuiteError;
-    !matches!(e, SuiteError::MissingCell { .. } | SuiteError::MissingTrace { .. })
+    !matches!(e, SuiteError::MissingCell { .. } | SuiteError::MissingGrid { .. })
 }
 
 /// `plan` on the named workload.
@@ -957,7 +934,9 @@ fn print_table(suite: &Suite, n: u32, plan: &Plan) -> Vec<(String, String)> {
             t.row(vec!["AVERAGE".into(), pct(a / nrows), pct(b / nrows)]);
             t.render()
         }
-        4 => match plan.table4() {
+        // Read from the suite's `DLXe/16/2` cells; a subset run (or a
+        // degraded one) collects the suite's cells on that target alone.
+        4 => match ex::table4_from_suite(suite).or_else(|_| plan.table4()) {
             Ok(t4) => {
                 let mut t = Table::new(
                     "Table 4: average immediate-field instruction frequencies",

@@ -80,27 +80,6 @@ fn regalloc_divergence_skips_the_workload_and_continues() {
 }
 
 #[test]
-fn truncated_trace_skips_the_cell() {
-    let out = run_with_fault("trace-truncate=assem", &["--smoke"]);
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_no_panic(&out);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("skipped (assem, ") && err.contains("truncated operand"), "{err}");
-    // towers (untraced) still reports in full.
-    assert!(String::from_utf8_lossy(&out.stdout).contains("towers"));
-}
-
-#[test]
-fn bad_access_width_poisons_the_recorder_not_the_process() {
-    let out = run_with_fault("bad-access-width=assem", &["--smoke"]);
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_no_panic(&out);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unencodable access width 3"), "{err}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("towers"));
-}
-
-#[test]
 fn off_grid_config_skips_cache_reports_with_the_config_error() {
     let out = run_with_fault("off-grid-config", &["--smoke"]);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));

@@ -198,7 +198,7 @@ fn smoke_regenerates_and_reports_timing() {
         "\"jobs\":2",
         "\"collect_ns\":",
         "\"cache_grid\":",
-        "\"replays\":1",
+        "\"records\":",
         "\"counters\":",
         "\"spans\":",
         "\"suite.collect.cell\":",

@@ -4,15 +4,16 @@
 //! the `repro` binary renders them as text. Figure/table numbering follows
 //! the paper (see DESIGN.md §5 for the index).
 
-use crate::measure::Measurement;
-use crate::plan::{Plan, Source};
+use crate::measure::{ImmClasses, Measurement};
+use crate::plan::Plan;
 use crate::stored;
-use crate::suite::{Suite, SuiteError};
+use crate::suite::{default_jobs, Suite, SuiteError};
+use d16_asm::Image;
 use d16_cc::TargetSpec;
-use d16_isa::{EncodingParams, Insn, Isa};
-use d16_mem::{CacheBank, CacheConfig};
-use d16_sim::{AccessSink, Machine, NullSink, TraceRecorder};
-use d16_workloads::SUITE;
+use d16_isa::{EncodingParams, ImmOverflow, Isa};
+use d16_mem::CacheConfig;
+use d16_sim::{AccessSink, Machine, NullSink};
+use d16_workloads::{Workload, SUITE};
 use std::collections::BTreeMap;
 
 const D16: &str = "D16/16/2";
@@ -190,37 +191,83 @@ impl Table4 {
     }
 }
 
-#[derive(Default)]
-struct ClassifySink {
-    decoded: Vec<Option<Insn>>,
+/// Table 4's observer in [`Plan::run`]: counts the fetches of each text
+/// word of a `DLXe/16/2` image, then sums the counts by the D16 field
+/// each word's immediate overflows. A fetch is one add to its own word's
+/// counter: no branch on the class, and no store that the next fetch
+/// must wait for, as a shared per-class counter would have.
+pub(crate) struct ImmClassifier {
     text_base: u32,
-    cmp: u64,
-    alu: u64,
-    mem: u64,
-    total: u64,
+    fetches: Vec<u64>,
 }
 
-impl AccessSink for ClassifySink {
-    fn fetch(&mut self, addr: u32, _bytes: u8) {
-        self.total += 1;
-        let idx = ((addr - self.text_base) / 4) as usize;
-        if let Some(Some(insn)) = self.decoded.get(idx) {
-            match EncodingParams::d16_overflow_class(insn) {
-                Some(d16_isa::ImmOverflow::CompareImmediate) => self.cmp += 1,
-                Some(d16_isa::ImmOverflow::AluImmediate) => self.alu += 1,
-                Some(d16_isa::ImmOverflow::MemoryDisplacement) => self.mem += 1,
+impl ImmClassifier {
+    pub(crate) fn new(image: &Image) -> Self {
+        ImmClassifier { text_base: image.text_base, fetches: vec![0; image.text.len() / 4] }
+    }
+
+    /// The fetch counts summed by class, each text word classified once.
+    pub(crate) fn classes(&self, image: &Image) -> ImmClasses {
+        let mut counts = ImmClasses::default();
+        for (c, &n) in image.text.chunks_exact(4).zip(&self.fetches) {
+            let word = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let insn = d16_isa::dlxe::decode(word).ok();
+            match insn.as_ref().and_then(EncodingParams::d16_overflow_class) {
                 None => {}
+                Some(ImmOverflow::CompareImmediate) => counts.cmp += n,
+                Some(ImmOverflow::AluImmediate) => counts.alu += n,
+                Some(ImmOverflow::MemoryDisplacement) => counts.mem += n,
             }
         }
+        counts
     }
-    fn read(&mut self, _a: u32, _b: u8) {}
-    fn write(&mut self, _a: u32, _b: u8) {}
+}
+
+impl AccessSink for ImmClassifier {
+    #[inline]
+    fn fetch(&mut self, addr: u32, _bytes: u8) {
+        let word = (addr.wrapping_sub(self.text_base) / 4) as usize;
+        if let Some(n) = self.fetches.get_mut(word) {
+            *n += 1;
+        }
+    }
+    #[inline]
+    fn read(&mut self, _addr: u32, _bytes: u8) {}
+    #[inline]
+    fn write(&mut self, _addr: u32, _bytes: u8) {}
 }
 
 /// The machine Table 4 classifies on: `DLXe/16/2`, whose immediates and
-/// displacements are the ones a D16 field might not hold.
+/// displacements are the ones a D16 field might not hold. Every run of a
+/// registered workload on it counts [`ImmClasses`].
 pub(crate) fn table4_target() -> TargetSpec {
     TargetSpec::dlxe_restricted(true, true, false)
+}
+
+/// Table 4 read from a collected suite: each paper workload's
+/// `DLXe/16/2` cell gives its immediate-class percentages of path
+/// length, averaged over the suite.
+///
+/// # Errors
+///
+/// The first paper workload whose cell is missing, with the reason.
+pub fn table4_from_suite(suite: &Suite) -> Result<Table4, (String, String)> {
+    let label = table4_target().label();
+    let mut acc = Table4::default();
+    for w in SUITE {
+        let fail = |e: String| (w.name.to_string(), e);
+        let m = suite.try_get(w.name, &label).map_err(|e| fail(e.to_string()))?;
+        let c = m.imm.ok_or_else(|| fail("no immediate-class counts".to_string()))?;
+        let t = m.stats.insns as f64;
+        acc.cmp_imm_pct += c.cmp as f64 / t * 100.0;
+        acc.alu_imm_pct += c.alu as f64 / t * 100.0;
+        acc.mem_disp_pct += c.mem as f64 / t * 100.0;
+    }
+    let n = SUITE.len() as f64;
+    acc.cmp_imm_pct /= n;
+    acc.alu_imm_pct /= n;
+    acc.mem_disp_pct /= n;
+    Ok(acc)
 }
 
 /// Computes Table 4 (averaged over the suite) with the default plan: no
@@ -234,55 +281,23 @@ pub fn table4_immediate_profile() -> Result<Table4, (String, String)> {
 }
 
 impl Plan<'_> {
-    /// Table 4: re-runs every suite workload on `DLXe/16/2` (on the
-    /// reference interpreter) with a classifying fetch sink, and averages
-    /// the per-workload percentages. The plan supplies the opt level,
-    /// the fuel and the store; its source and target are replaced. With
-    /// a store, each workload's raw counts are cached, and the averages
-    /// are recomputed from them identically either way.
+    /// Table 4: collects every suite workload's `DLXe/16/2` cell through
+    /// [`Suite::collect`] (so a store serves the same cells the full grid
+    /// commits) and reads the table with [`table4_from_suite`]. The plan
+    /// supplies the opt level, the fuel and the store; its source and
+    /// target are replaced.
     ///
     /// # Errors
     ///
     /// Propagates build/run failures with the workload name.
     pub fn table4(&self) -> Result<Table4, (String, String)> {
-        let mut acc = Table4::default();
-        for w in SUITE {
-            let cell =
-                Plan { source: Source::Workload(w), target: table4_target(), ..self.clone() };
-            let (cmp, alu, mem, total) =
-                cell.table4_counts().map_err(|e| (w.name.to_string(), e))?;
-            let t = total as f64;
-            acc.cmp_imm_pct += cmp as f64 / t * 100.0;
-            acc.alu_imm_pct += alu as f64 / t * 100.0;
-            acc.mem_disp_pct += mem as f64 / t * 100.0;
+        let ws: Vec<&Workload> = SUITE.iter().collect();
+        let suite = Suite::collect(self, &ws, &[table4_target()], default_jobs())
+            .map_err(|e| (ws[0].name.to_string(), e.to_string()))?;
+        if let Some(s) = suite.skipped.first() {
+            return Err((s.workload.clone(), s.reason.clone()));
         }
-        let n = SUITE.len() as f64;
-        acc.cmp_imm_pct /= n;
-        acc.alu_imm_pct /= n;
-        acc.mem_disp_pct /= n;
-        Ok(acc)
-    }
-
-    /// One workload's `(cmp, alu, mem, total)` classification counts,
-    /// served from the store when possible.
-    fn table4_counts(&self) -> Result<(u64, u64, u64, u64), String> {
-        let classify = || {
-            let image = self.build().map_err(|e| e.to_string())?;
-            let decoded: Vec<Option<Insn>> = image
-                .text
-                .chunks_exact(4)
-                .map(|c| {
-                    d16_isa::dlxe::decode(u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                        .ok()
-                })
-                .collect();
-            let mut sink =
-                ClassifySink { decoded, text_base: image.text_base, ..Default::default() };
-            let mut m = Machine::load(&image);
-            m.run(self.fuel, &mut sink).map_err(|e| e.to_string())?;
-            Ok((sink.cmp, sink.alu, sink.mem, sink.total))
-        };
-        self.through_store(&stored::TABLE4, classify)
+        table4_from_suite(&suite)
     }
 }
 
@@ -428,10 +443,10 @@ pub const GRID_SIZES: [u32; 5] = [1024, 2048, 4096, 8192, 16384];
 /// Block sizes of the Tables 14–16 grids.
 pub const GRID_BLOCKS: [u32; 4] = [8, 16, 32, 64];
 
-/// Every cache configuration any experiment replays: the size × block
-/// grid of Tables 14–16, which also contains (at block 32) every point of
-/// Figures 16–19. One [`Suite::cache_grid`] sweep of a trace warms all of
-/// them at once.
+/// Every configuration of the cache grid: the size × block grid of
+/// Tables 14–16, which also contains (at block 32) every point of
+/// Figures 16–19. A run with [`Plan::cache_grid`] set feeds all of them
+/// at once; [`Suite::cache_grid`] reads the result.
 pub fn cache_grid_configs() -> Vec<CacheConfig> {
     let mut out = Vec::with_capacity(GRID_SIZES.len() * GRID_BLOCKS.len());
     for size in GRID_SIZES {
@@ -467,20 +482,6 @@ pub fn cache_grid_index(size: u32, block: u32) -> Result<usize, SuiteError> {
     }
 }
 
-/// The grid sweep: one pass of a recorded trace through a
-/// [`CacheBank`] holding every configuration of [`cache_grid_configs`].
-/// [`Suite::cache_grid`] and `d16-serve`'s sweep requests both read their
-/// cache systems from here.
-///
-/// # Errors
-///
-/// A configuration the cache model rejects.
-pub fn cache_grid_sweep(trace: &TraceRecorder) -> Result<CacheBank, d16_mem::ConfigError> {
-    let mut bank = CacheBank::symmetric(&cache_grid_configs())?;
-    trace.replay(&mut bank);
-    Ok(bank)
-}
-
 /// One miss-rate point for Figure 16.
 #[derive(Clone, Debug)]
 pub struct Fig16Point {
@@ -496,7 +497,7 @@ pub struct Fig16Point {
 ///
 /// # Errors
 ///
-/// [`SuiteError::MissingTrace`] if a needed trace was never recorded.
+/// [`SuiteError::MissingGrid`] if a needed grid was never swept.
 pub fn fig16_icache_miss(suite: &Suite, workload: &str) -> Result<Vec<Fig16Point>, SuiteError> {
     let d16 = suite.cache_grid(workload, Isa::D16)?;
     let dlxe = suite.cache_grid(workload, Isa::Dlxe)?;
@@ -529,7 +530,7 @@ pub struct Fig17Point {
 ///
 /// # Errors
 ///
-/// [`SuiteError`] if a needed cell or trace is absent.
+/// [`SuiteError`] if a needed cell or grid is absent.
 pub fn fig17_18_cache_cpi(
     suite: &Suite,
     workload: &str,
@@ -568,7 +569,7 @@ pub struct Fig19Point {
 ///
 /// # Errors
 ///
-/// [`SuiteError`] if a needed cell or trace is absent.
+/// [`SuiteError`] if a needed cell or grid is absent.
 pub fn fig19_cache_traffic(suite: &Suite, workload: &str) -> Result<Vec<Fig19Point>, SuiteError> {
     let d16_m = suite.try_get(workload, D16)?;
     let dlxe_m = suite.try_get(workload, DLXE)?;
@@ -606,7 +607,7 @@ pub struct MissGridRow {
 ///
 /// # Errors
 ///
-/// [`SuiteError::MissingTrace`] if a needed trace was never recorded.
+/// [`SuiteError::MissingGrid`] if a needed grid was never swept.
 pub fn miss_rate_grid(suite: &Suite, workload: &str) -> Result<Vec<MissGridRow>, SuiteError> {
     let grid_d16 = suite.cache_grid(workload, Isa::D16)?;
     let grid_dlxe = suite.cache_grid(workload, Isa::Dlxe)?;

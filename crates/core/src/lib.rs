@@ -7,14 +7,16 @@
 //! Microprocessors"* (see DESIGN.md §5 for the experiment index).
 //!
 //! Every run goes through one [`Plan`] value (source, target, pipeline,
-//! opt level, engine, fuel, trace switch, optional store) and one entry
-//! point per operation on it; see the [`plan`] module.
+//! opt level, engine, fuel, cache-grid switch, optional store) and one
+//! entry point per operation on it; see the [`plan`] module. Each run
+//! feeds every observer at once, so the cache study and Table 4 read the
+//! same executions the measurement grid runs.
 //!
 //! ```no_run
 //! use d16_core::{default_jobs, experiments, standard_specs, Plan, Suite};
 //!
 //! let all: Vec<_> = d16_workloads::SUITE.iter().collect();
-//! let plan = Plan { trace: true, ..Plan::default() };
+//! let plan = Plan { cache_grid: true, ..Plan::default() };
 //! let suite =
 //!     Suite::collect(&plan, &all, &standard_specs(), default_jobs()).expect("measure the grid");
 //! let density = experiments::fig4_relative_density(&suite);
@@ -30,7 +32,7 @@ mod stored;
 pub mod suite;
 
 pub use d16_sim::{Engine, PipelineSpec, Predictor};
-pub use measure::{MeasureError, Measurement};
+pub use measure::{CacheGrid, ImmClasses, MeasureError, Measurement};
 pub use plan::{Plan, Source};
 pub use suite::{base_specs, default_jobs, standard_specs, Skip, Suite, SuiteError};
 
@@ -38,7 +40,6 @@ pub use suite::{base_specs, default_jobs, standard_specs, Skip, Suite, SuiteErro
 mod tests {
     use super::*;
     use d16_cc::TargetSpec;
-    use d16_isa::Isa;
     use d16_store::Store;
     use std::sync::Arc;
 
@@ -76,7 +77,7 @@ mod tests {
     #[test]
     fn cache_replay_smoke() {
         let ws = [d16_workloads::by_name("assem").unwrap()];
-        let plan = Plan { trace: true, ..Plan::default() };
+        let plan = Plan { cache_grid: true, ..Plan::default() };
         let suite = Suite::collect(&plan, &ws, &base_specs(), default_jobs()).unwrap();
         let miss = experiments::fig16_icache_miss(&suite, "assem").unwrap();
         // Bigger caches never miss more; D16 misses at most as often as
@@ -96,7 +97,7 @@ mod tests {
         let t_dlxe: f64 = t.iter().map(|p| p.dlxe).sum();
         assert!(t_d16 <= t_dlxe + 1e-9, "D16 I-traffic should be lower overall");
         assert!(t[0].d16 <= t[0].dlxe + 1e-9, "1K traffic");
-        let _ = suite.try_trace("assem", Isa::D16).unwrap();
+        assert_eq!(suite.grids().count(), 2, "one grid per unrestricted machine");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! operations that produce cells live on [`crate::Plan`].
 
 use d16_cc::BuildError;
+use d16_mem::CacheSystem;
 use d16_sim::ExecStats;
 use std::fmt;
 
@@ -33,6 +34,37 @@ pub struct Measurement {
     /// and per-interlock-class counters). Deterministic — it counts
     /// events, not time — so it may appear in diffed output.
     pub tele: d16_telemetry::Counters,
+    /// The cache grid the run fed, when the plan's `cache_grid` switch
+    /// was on.
+    pub grid: Option<CacheGrid>,
+    /// Table 4's immediate-class counts; present on runs of a registered
+    /// workload on `DLXe/16/2`.
+    pub imm: Option<ImmClasses>,
+}
+
+/// A finished cache grid: one [`CacheSystem`] per configuration of
+/// [`crate::experiments::cache_grid_configs`], in that order, fed by
+/// every access of one run.
+#[derive(Clone, Debug)]
+pub struct CacheGrid {
+    /// The member systems.
+    pub systems: Vec<CacheSystem>,
+    /// The bank's [`d16_mem::BANK_SCHEMA`] sweep counters: accesses fed,
+    /// counted once per access, not per member.
+    pub sweep: d16_telemetry::Counters,
+}
+
+/// Table 4's dynamic counts of `DLXe/16/2` instructions whose immediate
+/// or displacement does not fit the D16 field, by class. Percentages
+/// divide by the run's path length.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ImmClasses {
+    /// Compare-immediate instructions (no D16 form).
+    pub cmp: u64,
+    /// ALU immediates beyond five bits.
+    pub alu: u64,
+    /// Memory displacements beyond the D16 reach.
+    pub mem: u64,
 }
 
 impl Measurement {
@@ -64,9 +96,6 @@ pub enum MeasureError {
         /// Observed value.
         got: i32,
     },
-    /// The recorded access trace is unusable (malformed access or a
-    /// stream that does not round-trip through the trace codec).
-    Trace(String),
 }
 
 impl fmt::Display for MeasureError {
@@ -78,7 +107,6 @@ impl fmt::Display for MeasureError {
             MeasureError::WrongChecksum { expected, got } => {
                 write!(f, "checksum mismatch: expected {expected}, got {got}")
             }
-            MeasureError::Trace(e) => write!(f, "access trace: {e}"),
         }
     }
 }
@@ -108,8 +136,8 @@ mod tests {
 
     #[test]
     fn measure_queens_on_both_isas() {
-        let (d16, _) = cell("queens", TargetSpec::d16()).measure().unwrap();
-        let (dlxe, _) = cell("queens", TargetSpec::dlxe()).measure().unwrap();
+        let d16 = cell("queens", TargetSpec::d16()).measure().unwrap();
+        let dlxe = cell("queens", TargetSpec::dlxe()).measure().unwrap();
         assert_eq!(d16.exit, 92);
         assert_eq!(dlxe.exit, 92);
         assert!(d16.size_bytes < dlxe.size_bytes, "D16 binaries are denser");
@@ -123,24 +151,36 @@ mod tests {
     #[test]
     fn engines_measure_identically() {
         for spec in [TargetSpec::d16(), TargetSpec::dlxe()] {
-            let plan = Plan { trace: true, ..cell("towers", spec) };
-            let (a, ta) = Plan { engine: Engine::Interp, ..plan.clone() }.measure().unwrap();
-            let (b, tb) = Plan { engine: Engine::Blocks, ..plan }.measure().unwrap();
+            let plan = Plan { cache_grid: true, ..cell("towers", spec) };
+            let a = Plan { engine: Engine::Interp, ..plan.clone() }.measure().unwrap();
+            let b = Plan { engine: Engine::Blocks, ..plan }.measure().unwrap();
             assert_eq!(a.exit, b.exit);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.ireq_bus32, b.ireq_bus32);
             assert_eq!(a.ireq_bus64, b.ireq_bus64);
             assert_eq!(a.tele.values(), b.tele.values());
-            assert_eq!(ta.unwrap().encoded_bytes(), tb.unwrap().encoded_bytes());
+            let (ga, gb) = (a.grid.unwrap(), b.grid.unwrap());
+            assert_eq!(ga.sweep.values(), gb.sweep.values());
+            for (x, y) in ga.systems.iter().zip(&gb.systems) {
+                assert_eq!((x.icache(), x.dcache()), (y.icache(), y.dcache()));
+            }
         }
     }
 
+    /// The observers see one fetch per instruction and one read or write
+    /// per memory op: a trace recorded from a separate run of the same
+    /// image agrees with the measured cell's statistics.
     #[test]
     fn trace_lengths_match_stats() {
-        let plan = Plan { trace: true, ..cell("ackermann", TargetSpec::d16()) };
-        let (m, trace) = plan.measure().unwrap();
-        let t = trace.unwrap();
-        let fetches = t.iter().filter(|a| matches!(a, d16_sim::Access::Fetch(..))).count() as u64;
-        assert_eq!(fetches, m.stats.insns);
+        let plan = cell("ackermann", TargetSpec::d16());
+        let m = plan.measure().unwrap();
+        let mut trace = d16_sim::TraceRecorder::new();
+        d16_sim::Machine::load(&plan.build().unwrap())
+            .run(crate::measure::FUEL, &mut trace)
+            .unwrap();
+        let count = |f: fn(&d16_sim::Access) -> bool| trace.iter().filter(f).count() as u64;
+        assert_eq!(count(|a| matches!(a, d16_sim::Access::Fetch(..))), m.stats.insns);
+        assert_eq!(count(|a| matches!(a, d16_sim::Access::Read(..))), m.stats.loads);
+        assert_eq!(count(|a| matches!(a, d16_sim::Access::Write(..))), m.stats.stores);
     }
 }

@@ -1,15 +1,21 @@
 //! The run plan: one value that says how a program is built and run, and
 //! one entry point per operation on it — [`Plan::build`],
 //! [`Plan::measure`] (or [`Plan::run`] on a built image),
-//! [`crate::Suite::collect`], [`crate::experiments::cache_grid_sweep`],
-//! [`Plan::table4`], [`Plan::fpu_sweep`] and [`Plan::pipeline_sweep`].
-//! `repro`, the experiments and `d16-serve` all run through these.
+//! [`crate::Suite::collect`], [`Plan::table4`], [`Plan::fpu_sweep`] and
+//! [`Plan::pipeline_sweep`]. `repro`, the experiments and `d16-serve` all
+//! run through these.
+//!
+//! One run feeds every observer at once: the two fetch-buffer bus models,
+//! the cache grid (when the plan asks for it) and the Table 4 classifier
+//! (on `DLXe/16/2`).
 
-use crate::measure::{MeasureError, Measurement, FUEL};
+use crate::experiments::{cache_grid_configs, table4_target, ImmClassifier};
+use crate::measure::{CacheGrid, MeasureError, Measurement, FUEL};
 use crate::stored;
 use d16_asm::Image;
 use d16_cc::{OptLevel, TargetSpec};
-use d16_sim::{AccessSink, Engine, Machine, PipelineSpec, StopReason, TraceRecorder};
+use d16_mem::{CacheBank, FetchBuffer};
+use d16_sim::{AccessSink, Engine, Machine, NullSink, PipelineSpec, StopReason};
 use d16_store::Store;
 use d16_workloads::Workload;
 use std::sync::Arc;
@@ -74,8 +80,10 @@ pub struct Plan<'a> {
     pub engine: Engine,
     /// Instruction budget.
     pub fuel: u64,
-    /// Whether to record the full access trace (for the cache sweeps).
-    pub trace: bool,
+    /// Whether the run feeds the cache grid: a [`CacheBank`] of every
+    /// [`cache_grid_configs`] configuration, observing each access as it
+    /// happens.
+    pub cache_grid: bool,
     /// Artifact store: images, cells and experiment records are served
     /// from it when an intact entry exists and committed to it otherwise.
     pub store: Option<Arc<Store>>,
@@ -90,7 +98,7 @@ impl Default for Plan<'_> {
             opt: OptLevel::O2,
             engine: Engine::default(),
             fuel: FUEL,
-            trace: false,
+            cache_grid: false,
             store: None,
         }
     }
@@ -115,41 +123,55 @@ impl Plan<'_> {
     /// is served without compiling or simulating anything; a miss (or a
     /// damaged entry, which the store evicts) builds, runs and commits.
     ///
-    /// A served cell is complete: measurement, telemetry block and (when
-    /// `trace` is set) the access trace are bit-identical to a cold
-    /// computation, and the pinned checksum is re-verified at decode time.
+    /// A served cell is complete: measurement, telemetry block, cache grid
+    /// and Table 4 counts are bit-identical to a cold computation, and the
+    /// pinned checksum is re-verified at decode time.
     ///
     /// # Errors
     ///
-    /// Toolchain errors, simulator faults, fuel exhaustion, a checksum
-    /// mismatch against the workload's pinned value, or an unusable
-    /// trace. Store damage is never an error.
-    pub fn measure(&self) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
+    /// Toolchain errors, simulator faults, fuel exhaustion, or a checksum
+    /// mismatch against the workload's pinned value. Store damage is
+    /// never an error.
+    pub fn measure(&self) -> Result<Measurement, MeasureError> {
         self.through_store(&stored::CELL, || self.run(&self.build()?))
     }
 
-    /// Runs an already-built image on the retimed machine and assembles
-    /// the [`Measurement`]; no store is involved. [`Plan::measure`] is
-    /// [`Plan::build`] followed by this.
+    /// Runs an already-built image on the retimed machine with every
+    /// observer attached and assembles the [`Measurement`]; no store is
+    /// involved. [`Plan::measure`] is [`Plan::build`] followed by this.
     ///
     /// # Errors
     ///
     /// See [`Plan::measure`].
-    pub fn run(&self, image: &Image) -> Result<(Measurement, Option<TraceRecorder>), MeasureError> {
-        let name = self.source.name();
+    ///
+    /// # Panics
+    ///
+    /// Only if the constant [`cache_grid_configs`] stopped being valid
+    /// cache geometries, which every grid-sweeping test would show first.
+    pub fn run(&self, image: &Image) -> Result<Measurement, MeasureError> {
         let mut machine = Machine::load(image);
         machine.set_pipeline(self.pipeline);
-        let mut fb32 = d16_mem::FetchBuffer::new(4);
-        let mut fb64 = d16_mem::FetchBuffer::new(8);
-        let mut rec = TraceRecorder::new();
-        let stop = {
-            let mut sink = MeasureSink {
-                fb32: &mut fb32,
-                fb64: &mut fb64,
-                rec: self.trace.then_some(&mut rec),
-            };
-            machine.run_with(self.engine, self.fuel, &mut sink).map_err(MeasureError::Sim)?
-        };
+        let bank =
+            || CacheBank::symmetric(&cache_grid_configs()).expect("grid configurations are valid");
+        let imm = || ImmClassifier::new(image);
+        let m = &mut machine;
+        // One sink type per observer set: an absent observer is a
+        // `NullSink` the compiler removes, not a branch on every access.
+        let (stop, ireq, bank, imm) = match (self.cache_grid, self.counts_table4()) {
+            (false, false) => {
+                self.observe(m, NullSink, NullSink).map(|(s, i, _, _)| (s, i, None, None))
+            }
+            (true, false) => {
+                self.observe(m, bank(), NullSink).map(|(s, i, b, _)| (s, i, Some(b), None))
+            }
+            (false, true) => {
+                self.observe(m, NullSink, imm()).map(|(s, i, _, c)| (s, i, None, Some(c)))
+            }
+            (true, true) => {
+                self.observe(m, bank(), imm()).map(|(s, i, b, c)| (s, i, Some(b), Some(c)))
+            }
+        }
+        .map_err(MeasureError::Sim)?;
         let exit = match stop {
             StopReason::Halted(v) => v,
             StopReason::OutOfFuel => return Err(MeasureError::OutOfFuel),
@@ -159,40 +181,45 @@ impl Plan<'_> {
                 return Err(MeasureError::WrongChecksum { expected, got: exit });
             }
         }
-        let trace = if self.trace {
-            // Failpoint: a sink handed an access with a width the trace
-            // codec cannot represent. The recorder poisons itself rather
-            // than panicking; surface that here as a skippable cell error.
-            if d16_testkit::faults::armed_for("bad-access-width", name) {
-                rec.read(0x1000, 3);
-            }
-            if let Some(e) = rec.error() {
-                return Err(MeasureError::Trace(e.to_string()));
-            }
-            // Revalidate the stream through the codec — the same path a
-            // store-served trace takes — so a truncated stream (failpoint
-            // `trace-truncate=<workload>`) is caught at measurement time.
-            let len = rec.len();
-            let mut bytes = rec.into_encoded();
-            if d16_testkit::faults::armed_for("trace-truncate", name) {
-                bytes.pop();
-            }
-            Some(TraceRecorder::from_encoded(bytes, len).map_err(MeasureError::Trace)?)
-        } else {
-            None
-        };
-        let m = Measurement {
-            workload: name,
+        Ok(Measurement {
+            workload: self.source.name(),
             target: self.target.label(),
             exit,
             size_bytes: image.size_bytes() as u64,
             text_bytes: image.text.len() as u64,
             stats: *machine.stats(),
-            ireq_bus32: fb32.irequests,
-            ireq_bus64: fb64.irequests,
+            ireq_bus32: ireq[0],
+            ireq_bus64: ireq[1],
             tele: machine.telemetry().clone(),
-        };
-        Ok((m, trace))
+            grid: bank.map(|bank| CacheGrid {
+                sweep: bank.telemetry().clone(),
+                systems: bank.into_systems(),
+            }),
+            imm: imm.map(|c| c.classes(image)),
+        })
+    }
+
+    /// Whether a run of this plan counts Table 4's immediate classes: a
+    /// registered workload on `DLXe/16/2`. The table averages the suite,
+    /// so an inline source has no row in it, and the count costs every
+    /// fetch an add.
+    pub(crate) fn counts_table4(&self) -> bool {
+        matches!(self.source, Source::Workload(_)) && self.target == table4_target()
+    }
+
+    /// Runs `machine` with both fetch-buffer bus models and the two given
+    /// observers attached; returns the stop, the 32- and 64-bit bus
+    /// request counts, and the observers.
+    fn observe<G: AccessSink, T: AccessSink>(
+        &self,
+        machine: &mut Machine,
+        grid: G,
+        imm: T,
+    ) -> Result<(StopReason, [u64; 2], G, T), d16_sim::SimError> {
+        let mut sink =
+            MeasureSink { fb32: FetchBuffer::new(4), fb64: FetchBuffer::new(8), grid, imm };
+        let stop = machine.run_with(self.engine, self.fuel, &mut sink)?;
+        Ok((stop, [sink.fb32.irequests, sink.fb64.irequests], sink.grid, sink.imm))
     }
 
     /// Serves `record` from the plan's store when an intact entry exists
@@ -214,40 +241,39 @@ impl Plan<'_> {
     }
 }
 
-/// The concrete sink stack of one measurement run: both fetch-buffer bus
-/// models plus the optional trace recorder, statically dispatched. A
-/// `dyn` fan-out here would put an indirect call on every access, and the
-/// block engine has removed the decode overhead that used to hide it.
-struct MeasureSink<'a> {
-    fb32: &'a mut d16_mem::FetchBuffer,
-    fb64: &'a mut d16_mem::FetchBuffer,
-    rec: Option<&'a mut TraceRecorder>,
+/// The concrete observer stack of one measurement run: both fetch-buffer
+/// bus models plus the cache grid and the Table 4 classifier (each a
+/// `NullSink` when absent), statically dispatched. A `dyn` fan-out here
+/// would put an indirect call on every access, and the block engine has
+/// removed the decode overhead that used to hide it.
+struct MeasureSink<G, T> {
+    fb32: FetchBuffer,
+    fb64: FetchBuffer,
+    grid: G,
+    imm: T,
 }
 
-impl AccessSink for MeasureSink<'_> {
+impl<G: AccessSink, T: AccessSink> AccessSink for MeasureSink<G, T> {
     #[inline]
     fn fetch(&mut self, addr: u32, bytes: u8) {
         self.fb32.fetch(addr, bytes);
         self.fb64.fetch(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.fetch(addr, bytes);
-        }
+        self.grid.fetch(addr, bytes);
+        self.imm.fetch(addr, bytes);
     }
     #[inline]
     fn read(&mut self, addr: u32, bytes: u8) {
         self.fb32.read(addr, bytes);
         self.fb64.read(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.read(addr, bytes);
-        }
+        self.grid.read(addr, bytes);
+        self.imm.read(addr, bytes);
     }
     #[inline]
     fn write(&mut self, addr: u32, bytes: u8) {
         self.fb32.write(addr, bytes);
         self.fb64.write(addr, bytes);
-        if let Some(r) = &mut self.rec {
-            r.write(addr, bytes);
-        }
+        self.grid.write(addr, bytes);
+        self.imm.write(addr, bytes);
     }
 }
 
@@ -267,8 +293,10 @@ mod tests {
     fn inline_sources_run_without_a_checksum_and_respect_fuel() {
         let src = "int main(void) { int i, s = 0; for (i = 0; i < 100; i++) s += i; return s; }";
         let plan = Plan { source: Source::Inline(src), ..Plan::default() };
-        let (m, _) = plan.measure().unwrap();
+        let m = plan.measure().unwrap();
         assert_eq!((m.workload, m.exit), ("inline", 4950));
+        let t4 = Plan { target: crate::experiments::table4_target(), ..plan.clone() };
+        assert!(t4.measure().unwrap().imm.is_none(), "Table 4 counts only registered workloads");
         let starved = Plan { fuel: m.stats.insns - 1, ..plan };
         assert!(matches!(starved.measure(), Err(MeasureError::OutOfFuel)));
     }
@@ -284,10 +312,10 @@ mod tests {
         // Served back, each level still gets its own image.
         assert_eq!(o0.build().unwrap().text, i0.text);
         assert_eq!(o2.build().unwrap().text, i2.text);
-        let (m2, _) = o2.measure().unwrap();
-        let (m0, _) = o0.measure().unwrap();
+        let m2 = o2.measure().unwrap();
+        let m0 = o0.measure().unwrap();
         assert_eq!(m0.exit, m2.exit);
         assert_ne!(m0.stats.insns, m2.stats.insns, "cells do not collide either");
-        assert_eq!(o0.measure().unwrap().0.stats, m0.stats);
+        assert_eq!(o0.measure().unwrap().stats, m0.stats);
     }
 }

@@ -1,15 +1,14 @@
 //! Cache keys and codecs for the harness's `d16-store` artifacts.
 //!
-//! Six artifact kinds ride in the store:
+//! Four artifact kinds ride in the store:
 //!
 //! * `image` — linked binaries ([`crate::Plan::build`]).
-//! * `cell` — one (workload, target) [`Measurement`] plus its optional
-//!   recorded access trace.
-//! * `grid` — one (workload, ISA) cache-grid sweep: per-configuration
-//!   aggregate statistics, from which every counter is rebuilt.
-//! * `table4` / `fpu` / `psweep` — the experiments that re-run workloads
-//!   outside the suite grid (immediate-class counts, FPU-latency points,
-//!   pipeline-sweep grids).
+//! * `cell` — one (workload, target) [`Measurement`], with what its
+//!   observers computed: the cache grid's per-configuration aggregate
+//!   statistics (from which every cache counter is rebuilt) when the run
+//!   swept it, and Table 4's immediate-class counts on `DLXe/16/2`.
+//! * `fpu` / `psweep` — the experiments that re-run workloads outside
+//!   the suite grid (FPU-latency points, pipeline-sweep grids).
 //!
 //! Every key folds in [`CORE_TAG`] (bump when the simulator, memory
 //! models, or these codecs change observable results), the image keys of
@@ -19,17 +18,17 @@
 //! be restored in the other. A plan knob at its default adds nothing to
 //! a key, so keys written before the knob existed still match.
 //!
-//! Restores are *complete*: a warm run's measurements, traces, grids,
-//! and derived tables are bit-identical to a cold run's, so caching can
-//! never change a paper-facing number (DESIGN.md §6).
+//! Restores are *complete*: a warm run's measurements, grids and derived
+//! tables are bit-identical to a cold run's, so caching can never change
+//! a paper-facing number (DESIGN.md §6).
 
-use crate::experiments::{FpuSweepPoint, PipelineSweepRow};
-use crate::measure::{Measurement, FUEL};
+use crate::experiments::{cache_grid_configs, FpuSweepPoint, PipelineSweepRow};
+use crate::measure::{CacheGrid, ImmClasses, Measurement, FUEL};
 use crate::plan::Plan;
 use d16_asm::Image;
 use d16_cc::{OptLevel, TargetSpec};
 use d16_mem::{CacheConfig, CacheStats, CacheSystem, BANK_SCHEMA};
-use d16_sim::{ExecStats, PipelineSpec, Predictor, TraceRecorder, SIM_SCHEMA};
+use d16_sim::{ExecStats, PipelineSpec, Predictor, SIM_SCHEMA};
 use d16_store::{CacheKey, Reader, StableHasher, Writer};
 use d16_telemetry::Counters;
 
@@ -56,29 +55,9 @@ pub(crate) const IMAGE: Record<Image> = Record {
     encode: d16_asm::codec::encode_image,
 };
 
-/// (workload, target) measurement cells with their optional traces.
-pub(crate) const CELL: Record<(Measurement, Option<TraceRecorder>)> = Record {
-    kind: "cell",
-    key: cell_key,
-    decode: decode_cell,
-    encode: |(m, trace)| encode_cell(m, trace.as_ref()),
-};
-
-/// (workload, ISA) cache-grid sweeps: the systems plus the sweep counters.
-pub(crate) const GRID: Record<(Vec<CacheSystem>, Counters)> = Record {
-    kind: "grid",
-    key: grid_key,
-    decode: |b, _| decode_grid(b),
-    encode: |(systems, sweep)| encode_grid(systems, sweep),
-};
-
-/// Per-workload Table 4 immediate-class counts.
-pub(crate) const TABLE4: Record<(u64, u64, u64, u64)> = Record {
-    kind: "table4",
-    key: table4_key,
-    decode: |b, _| decode_table4(b),
-    encode: |&counts| encode_table4(counts),
-};
+/// (workload, target) measurement cells with their observers' results.
+pub(crate) const CELL: Record<Measurement> =
+    Record { kind: "cell", key: cell_key, decode: decode_cell, encode: encode_cell };
 
 /// Per-workload FPU-latency sweep points.
 pub(crate) const FPU: Record<Vec<FpuSweepPoint>> =
@@ -121,54 +100,21 @@ fn fuel_field(h: &mut StableHasher, p: &Plan<'_>) {
     }
 }
 
-/// Key of one measurement cell: the image it runs plus what the run
-/// records. A non-default [`PipelineSpec`] retimes the machine, so it
-/// folds into the key.
+/// Key of one measurement cell: the image it runs plus whether the run
+/// sweeps the cache grid. A non-default [`PipelineSpec`] retimes the
+/// machine, so it folds into the key.
 pub(crate) fn cell_key(p: &Plan<'_>) -> CacheKey {
     let mut h = StableHasher::new("d16-core.cell");
     h.field_str(CORE_TAG)
         .field_bool(d16_telemetry::ENABLED)
         .field_key(image_key(p))
         .field_str(p.source.name())
-        .field_bool(p.trace);
+        .field_bool(p.cache_grid);
     if p.pipeline != PipelineSpec::default() {
         h.field_u64(u64::from(p.pipeline.depth))
             .field_str(p.pipeline.predictor.name())
             .field_u64(u64::from(p.pipeline.fetch_width_halfwords));
     }
-    fuel_field(&mut h, p);
-    h.finish()
-}
-
-/// Key of one cache-grid sweep: the image of the traced cell `p`, plus a
-/// fingerprint of every configuration on the grid. The access trace does
-/// not depend on the pipeline timing, so the pipeline spec stays out.
-pub(crate) fn grid_key(p: &Plan<'_>) -> CacheKey {
-    let mut h = StableHasher::new("d16-core.grid");
-    h.field_str(CORE_TAG)
-        .field_bool(d16_telemetry::ENABLED)
-        .field_key(image_key(p))
-        .field_str(p.source.name());
-    let configs = crate::experiments::cache_grid_configs();
-    h.field_u64(configs.len() as u64);
-    for c in &configs {
-        h.field_u32(c.size)
-            .field_u32(c.block)
-            .field_u32(c.sub_block)
-            .field_u32(c.assoc)
-            .field_bool(c.wrap_prefetch);
-    }
-    h.finish()
-}
-
-/// Key of one workload's Table 4 classification counts (always measured
-/// on `DLXe/16/2`; the counts are plain integers, so the telemetry mode
-/// does not enter).
-pub(crate) fn table4_key(p: &Plan<'_>) -> CacheKey {
-    let mut h = StableHasher::new("d16-core.table4");
-    h.field_str(CORE_TAG)
-        .field_key(image_key_on(p, crate::experiments::table4_target()))
-        .field_str(p.source.name());
     fuel_field(&mut h, p);
     h.finish()
 }
@@ -209,9 +155,17 @@ pub(crate) fn psweep_key(p: &Plan<'_>) -> CacheKey {
 // Cell records
 // ---------------------------------------------------------------------
 
-/// Serializes one measured cell and its optional trace.
+/// The byte after a cell's counter block: whether a cache grid follows.
+/// Cell keys are shared with records that carried an access trace after
+/// byte 1; such a record decodes to `None`, so it is recomputed and
+/// re-committed instead of served.
+const NO_GRID: u8 = 0;
+const GRID: u8 = 2;
+
+/// Serializes one measured cell: the measurement, its cache grid when
+/// the run swept one, and its Table 4 counts when it took them.
 #[must_use]
-pub(crate) fn encode_cell(m: &Measurement, trace: Option<&TraceRecorder>) -> Vec<u8> {
+pub(crate) fn encode_cell(m: &Measurement) -> Vec<u8> {
     let mut w = Writer::new();
     w.i32(m.exit).u64(m.size_bytes).u64(m.text_bytes);
     let s = &m.stats;
@@ -231,25 +185,25 @@ pub(crate) fn encode_cell(m: &Measurement, trace: Option<&TraceRecorder>) -> Vec
         .u64(s.misfetch_cycles);
     w.u64(m.ireq_bus32).u64(m.ireq_bus64);
     write_counter_values(&mut w, &m.tele);
-    match trace {
-        Some(t) => {
-            w.bool(true).u64(t.len() as u64).bytes(t.encoded_bytes());
-        }
+    match &m.grid {
+        Some(g) => write_grid(w.u8(GRID), g),
         None => {
-            w.bool(false);
+            w.u8(NO_GRID);
         }
+    }
+    if let Some(c) = m.imm {
+        w.u64(c.cmp).u64(c.alu).u64(c.mem);
     }
     w.into_bytes()
 }
 
-/// Deserializes a cell record; `None` on any structural damage,
-/// including a trace that fails the [`TraceRecorder::from_encoded`]
-/// validation walk or a counter block from the other telemetry mode.
+/// Deserializes a cell record for the plan `p`; `None` on any structural
+/// damage, on a record whose shape disagrees with what a run of `p`
+/// observes (a grid exactly when `p` sweeps one, Table 4 counts exactly
+/// when `p` counts them), or on a counter block from the other telemetry
+/// mode.
 #[must_use]
-pub(crate) fn decode_cell(
-    bytes: &[u8],
-    p: &Plan<'_>,
-) -> Option<(Measurement, Option<TraceRecorder>)> {
+pub(crate) fn decode_cell(bytes: &[u8], p: &Plan<'_>) -> Option<Measurement> {
     let mut r = Reader::new(bytes);
     let exit = r.i32()?;
     let size_bytes = r.u64()?;
@@ -273,10 +227,13 @@ pub(crate) fn decode_cell(
     let ireq_bus32 = r.u64()?;
     let ireq_bus64 = r.u64()?;
     let tele = read_counter_values(&mut r, &SIM_SCHEMA)?;
-    let trace = if r.bool()? {
-        let len = usize::try_from(r.u64()?).ok()?;
-        let raw = r.bytes()?.to_vec();
-        Some(TraceRecorder::from_encoded(raw, len).ok()?)
+    let grid = match (r.u8()?, p.cache_grid) {
+        (NO_GRID, false) => None,
+        (GRID, true) => Some(read_grid(&mut r)?),
+        _ => return None,
+    };
+    let imm = if p.counts_table4() {
+        Some(ImmClasses { cmp: r.u64()?, alu: r.u64()?, mem: r.u64()? })
     } else {
         None
     };
@@ -286,7 +243,7 @@ pub(crate) fn decode_cell(
     if p.source.expected().is_some_and(|expected| exit != expected) {
         return None;
     }
-    let m = Measurement {
+    Some(Measurement {
         workload: p.source.name(),
         target: p.target.label(),
         exit,
@@ -296,46 +253,43 @@ pub(crate) fn decode_cell(
         ireq_bus32,
         ireq_bus64,
         tele,
-    };
-    Some((m, trace))
+        grid,
+        imm,
+    })
 }
-
-// ---------------------------------------------------------------------
-// Grid records
-// ---------------------------------------------------------------------
 
 /// Serializes a swept cache grid: the sweep-level counters plus each
 /// system's configurations and aggregate statistics. Per-cache telemetry
 /// is *not* stored — [`d16_mem::Cache::from_stats`] rebuilds it from the
 /// aggregates, reconciled by construction.
-#[must_use]
-pub(crate) fn encode_grid(systems: &[CacheSystem], sweep: &Counters) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_counter_values(&mut w, sweep);
-    w.u64(systems.len() as u64);
-    for s in systems {
-        write_cache_half(&mut w, s.iconfig(), s.icache());
-        write_cache_half(&mut w, s.dconfig(), s.dcache());
+fn write_grid(w: &mut Writer, grid: &CacheGrid) {
+    write_counter_values(w, &grid.sweep);
+    w.u64(grid.systems.len() as u64);
+    for s in &grid.systems {
+        write_cache_half(w, s.iconfig(), s.icache());
+        write_cache_half(w, s.dconfig(), s.dcache());
     }
-    w.into_bytes()
 }
 
-/// Deserializes a grid record into its systems and sweep counters;
-/// `None` on structural damage or statistics [`CacheSystem::from_stats`]
-/// rejects as inconsistent.
-#[must_use]
-pub(crate) fn decode_grid(bytes: &[u8]) -> Option<(Vec<CacheSystem>, Counters)> {
-    let mut r = Reader::new(bytes);
-    let sweep = read_counter_values(&mut r, &BANK_SCHEMA)?;
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut systems = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        let (icfg, istats) = read_cache_half(&mut r)?;
-        let (dcfg, dstats) = read_cache_half(&mut r)?;
+/// Deserializes a swept grid; `None` on structural damage, statistics
+/// [`CacheSystem::from_stats`] rejects as inconsistent, or systems that
+/// are not exactly today's [`cache_grid_configs`], in order.
+fn read_grid(r: &mut Reader<'_>) -> Option<CacheGrid> {
+    let sweep = read_counter_values(r, &BANK_SCHEMA)?;
+    let configs = cache_grid_configs();
+    if usize::try_from(r.u64()?).ok()? != configs.len() {
+        return None;
+    }
+    let mut systems = Vec::with_capacity(configs.len());
+    for want in &configs {
+        let (icfg, istats) = read_cache_half(r)?;
+        let (dcfg, dstats) = read_cache_half(r)?;
+        if (icfg, dcfg) != (*want, *want) {
+            return None;
+        }
         systems.push(CacheSystem::from_stats(icfg, istats, dcfg, dstats).ok()?);
     }
-    r.finish()?;
-    Some((systems, sweep))
+    Some(CacheGrid { systems, sweep })
 }
 
 fn write_cache_half(w: &mut Writer, cfg: &CacheConfig, stats: &CacheStats) {
@@ -370,31 +324,8 @@ fn read_cache_half(r: &mut Reader<'_>) -> Option<(CacheConfig, CacheStats)> {
 }
 
 // ---------------------------------------------------------------------
-// Table 4 and FPU-sweep records
+// FPU-sweep and pipeline-sweep records
 // ---------------------------------------------------------------------
-
-/// Serializes one workload's Table 4 classification counts
-/// `(cmp, alu, mem, total)`.
-#[must_use]
-pub(crate) fn encode_table4(counts: (u64, u64, u64, u64)) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(counts.0).u64(counts.1).u64(counts.2).u64(counts.3);
-    w.into_bytes()
-}
-
-/// Deserializes Table 4 counts; `None` on structural damage or counts
-/// that exceed their own total.
-#[must_use]
-pub(crate) fn decode_table4(bytes: &[u8]) -> Option<(u64, u64, u64, u64)> {
-    let mut r = Reader::new(bytes);
-    let counts = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-    r.finish()?;
-    let (cmp, alu, mem, total) = counts;
-    if cmp.checked_add(alu)?.checked_add(mem)? > total || total == 0 {
-        return None;
-    }
-    Some(counts)
-}
 
 /// Serializes an FPU-latency sweep (rates ride as IEEE-754 bit patterns,
 /// so the restore is bit-exact).
@@ -520,41 +451,55 @@ fn read_counter_values(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table4_target;
     use crate::plan::Source;
 
-    fn cell(name: &str, target: TargetSpec, trace: bool) -> Plan<'static> {
+    fn cell(name: &str, target: TargetSpec, cache_grid: bool) -> Plan<'static> {
         Plan {
             source: Source::Workload(d16_workloads::by_name(name).unwrap()),
             target,
-            trace,
+            cache_grid,
             ..Plan::default()
         }
     }
 
     #[test]
-    fn cell_roundtrips_with_and_without_trace() {
+    fn cell_roundtrips_with_and_without_observers() {
         for plan in [
             cell("towers", TargetSpec::d16(), true),
-            cell("towers", TargetSpec::dlxe_restricted(true, true, false), false),
+            cell("towers", TargetSpec::d16(), false),
+            cell("towers", table4_target(), false),
         ] {
-            let (m, trace) = plan.measure().unwrap();
-            let bytes = encode_cell(&m, trace.as_ref());
-            let (back, back_trace) = decode_cell(&bytes, &plan).unwrap();
+            let m = plan.measure().unwrap();
+            assert_eq!(m.grid.is_some(), plan.cache_grid);
+            assert_eq!(m.imm.is_some(), plan.counts_table4());
+            let bytes = encode_cell(&m);
+            let back = decode_cell(&bytes, &plan).unwrap();
             assert_eq!(back.exit, m.exit);
             assert_eq!(back.target, m.target);
             assert_eq!((back.size_bytes, back.text_bytes), (m.size_bytes, m.text_bytes));
             assert_eq!(back.stats, m.stats);
             assert_eq!((back.ireq_bus32, back.ireq_bus64), (m.ireq_bus32, m.ireq_bus64));
             assert_eq!(back.tele.values(), m.tele.values());
-            assert_eq!(back_trace, trace, "trace restores bit-identically");
+            assert_eq!(back.imm, m.imm, "Table 4 counts restore");
+            assert_eq!(back.grid.is_some(), m.grid.is_some());
+            if let (Some(b), Some(g)) = (&back.grid, &m.grid) {
+                assert_eq!(b.sweep.values(), g.sweep.values());
+                for (x, y) in b.systems.iter().zip(&g.systems) {
+                    assert_eq!((x.icache(), x.dcache()), (y.icache(), y.dcache()));
+                }
+            }
+            // A record only serves the plan shape it was computed for.
+            let other = Plan { cache_grid: !plan.cache_grid, ..plan.clone() };
+            assert!(decode_cell(&bytes, &other).is_none());
         }
     }
 
     #[test]
     fn cell_decode_rejects_damage_and_wrong_checksum() {
         let plan = cell("towers", TargetSpec::d16(), true);
-        let (m, t) = plan.measure().unwrap();
-        let bytes = encode_cell(&m, t.as_ref());
+        let m = plan.measure().unwrap();
+        let bytes = encode_cell(&m);
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_cell(&bytes[..cut], &plan).is_none(), "cut at {cut}");
         }
@@ -562,8 +507,27 @@ mod tests {
         // not be served, even if structurally intact.
         let mut wrong = m.clone();
         wrong.exit += 1;
-        let bad = encode_cell(&wrong, t.as_ref());
-        assert!(decode_cell(&bad, &plan).is_none());
+        assert!(decode_cell(&encode_cell(&wrong), &plan).is_none());
+
+        // Records an older build committed under the same keys. An
+        // untraced cell ended in a zero byte, as an ungridded cell does
+        // now, so it is still served. A traced cell ended in byte 1, the
+        // trace length and the encoded trace; a `DLXe/16/2` cell ended
+        // without Table 4 counts. Both must miss, so they are recomputed
+        // and re-committed rather than served as wrong cells.
+        let plain = cell("towers", TargetSpec::d16(), false);
+        let old_plain = encode_cell(&plain.measure().unwrap());
+        assert_eq!(old_plain.last(), Some(&0));
+        assert!(decode_cell(&old_plain, &plain).is_some(), "unchanged records still serve");
+        let mut trace = d16_sim::TraceRecorder::new();
+        d16_sim::Machine::load(&plain.build().unwrap()).run(FUEL, &mut trace).unwrap();
+        let mut old_traced = Writer::new();
+        old_traced.bool(true).u64(trace.len() as u64).bytes(trace.encoded_bytes());
+        let old_traced = [&old_plain[..old_plain.len() - 1], &old_traced.into_bytes()].concat();
+        assert!(decode_cell(&old_traced, &plan).is_none(), "a traced record misses");
+        let t4 = cell("towers", table4_target(), false);
+        let old_t4 = encode_cell(&Measurement { imm: None, ..t4.measure().unwrap() });
+        assert!(decode_cell(&old_t4, &t4).is_none(), "a count-less DLXe/16/2 record misses");
     }
 
     #[test]
@@ -574,8 +538,8 @@ mod tests {
         assert_eq!(base, cell_key(&towers.clone()));
         assert_ne!(
             base,
-            cell_key(&Plan { trace: true, ..towers.clone() }),
-            "trace recording changes the record"
+            cell_key(&Plan { cache_grid: true, ..towers.clone() }),
+            "sweeping the grid changes the record"
         );
         assert_ne!(base, cell_key(&queens));
         assert_ne!(base, cell_key(&Plan { target: TargetSpec::dlxe(), ..towers.clone() }));
@@ -594,12 +558,6 @@ mod tests {
         let o0 = Plan { opt: OptLevel::O0, ..towers.clone() };
         assert_ne!(image_key(&towers), image_key(&o0));
         assert_ne!(base, cell_key(&o0));
-        assert_ne!(grid_key(&towers), grid_key(&o0));
-        assert_ne!(
-            grid_key(&towers),
-            grid_key(&Plan { target: TargetSpec::dlxe(), ..towers.clone() })
-        );
-        assert_ne!(table4_key(&towers), table4_key(&queens));
         assert_ne!(fpu_key(&towers), fpu_key(&queens));
         assert_ne!(psweep_key(&towers), psweep_key(&queens));
     }
@@ -607,7 +565,7 @@ mod tests {
     /// Keys are the store's on-disk addresses: a change here orphans
     /// every existing store. These are the keys existing stores hold for
     /// towers on D16/16/2 at O2 (the telemetry mode folds into the cell
-    /// and grid keys, so each mode has its own values).
+    /// keys, so each mode has its own values).
     #[test]
     fn keys_do_not_move() {
         let w = d16_workloads::by_name("towers").unwrap();
@@ -615,22 +573,13 @@ mod tests {
         let build = d16_cc::build_key(&[w.source], &TargetSpec::d16());
         assert_eq!(build.hex(), "2c4bf3fb3bd62d32d75acec0759432d8");
         assert_eq!(image_key(&plan), build, "an O2 image keeps the toolchain's key");
-        let (cell_plain, cell_traced, grid) = if d16_telemetry::ENABLED {
-            (
-                "a25255d4a59d00ad7bc0309b7ed61de6",
-                "a25255d4a69d00ad7bc0309b7ed61f21",
-                "c2b03d4aba873dd57864e7dd24d498e7",
-            )
+        let (cell_plain, cell_swept) = if d16_telemetry::ENABLED {
+            ("a25255d4a59d00ad7bc0309b7ed61de6", "a25255d4a69d00ad7bc0309b7ed61f21")
         } else {
-            (
-                "2f48476e1db4cce2cfc45d4399895d27",
-                "2f48476e1cb4cce2cfc45d4399895bec",
-                "f7bbab120a9debc4bfc35e208b867ef0",
-            )
+            ("2f48476e1db4cce2cfc45d4399895d27", "2f48476e1cb4cce2cfc45d4399895bec")
         };
         assert_eq!(cell_key(&plan).hex(), cell_plain);
-        assert_eq!(cell_key(&Plan { trace: true, ..plan.clone() }).hex(), cell_traced);
-        assert_eq!(grid_key(&plan).hex(), grid);
+        assert_eq!(cell_key(&Plan { cache_grid: true, ..plan.clone() }).hex(), cell_swept);
     }
 
     #[test]
@@ -658,25 +607,28 @@ mod tests {
 
     #[test]
     fn grid_roundtrips_bit_identically() {
-        let (_, trace) = cell("towers", TargetSpec::d16(), true).measure().unwrap();
-        let mut bank =
-            d16_mem::CacheBank::symmetric(&crate::experiments::cache_grid_configs()[..4]).unwrap();
-        trace.unwrap().replay(&mut bank);
-        let sweep = bank.telemetry().clone();
-        let systems = bank.into_systems();
-        let bytes = encode_grid(&systems, &sweep);
-        let (back, back_sweep) = decode_grid(&bytes).unwrap();
-        assert_eq!(back.len(), systems.len());
-        for (b, s) in back.iter().zip(&systems) {
+        let grid = cell("towers", TargetSpec::d16(), true).measure().unwrap().grid.unwrap();
+        let mut w = Writer::new();
+        write_grid(&mut w, &grid);
+        let bytes = w.into_bytes();
+        let back = read_grid(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.systems.len(), grid.systems.len());
+        for (b, s) in back.systems.iter().zip(&grid.systems) {
             assert_eq!(b.iconfig(), s.iconfig());
             assert_eq!(b.icache(), s.icache());
             assert_eq!(b.dcache(), s.dcache());
             b.reconciles().unwrap();
         }
-        assert_eq!(back_sweep.values(), sweep.values());
-        // Structural damage decodes to None, never a bad grid.
+        assert_eq!(back.sweep.values(), grid.sweep.values());
+        // Structural damage decodes to None, never a bad grid; so does a
+        // grid over other configurations than today's.
         for cut in [0, 9, bytes.len() - 1] {
-            assert!(decode_grid(&bytes[..cut]).is_none(), "cut at {cut}");
+            assert!(read_grid(&mut Reader::new(&bytes[..cut])).is_none(), "cut at {cut}");
         }
+        let mut short = grid.clone();
+        short.systems.pop();
+        let mut w = Writer::new();
+        write_grid(&mut w, &short);
+        assert!(read_grid(&mut Reader::new(&w.into_bytes())).is_none());
     }
 }

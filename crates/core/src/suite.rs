@@ -1,27 +1,25 @@
 //! Collecting the full measurement grid: every workload on every target
-//! configuration, plus access traces for the cache benchmarks.
+//! configuration, with the cache grid swept inside the cache benchmarks'
+//! runs.
 //!
 //! Collection fans the independent (workload, target) cells over a scoped
 //! worker pool ([`Suite::collect`]); results are assembled in
 //! work-item order, so the collected suite is byte-identical no matter how
-//! many threads ran. Recorded traces feed the cache experiments through a
-//! per-(workload, ISA) memoized single-pass grid replay
-//! ([`Suite::cache_grid`]), so the full 20-configuration cache study walks
-//! each trace exactly once.
+//! many threads ran. A cache benchmark's cell on an unrestricted machine
+//! feeds the 20-configuration cache grid as it runs, so the whole cache
+//! study costs one execution per (workload, ISA); [`Suite::cache_grid`]
+//! reads the result.
 
-use crate::measure::{MeasureError, Measurement};
+use crate::measure::{CacheGrid, MeasureError, Measurement};
 use crate::plan::{Plan, Source};
-use d16_cc::{OptLevel, TargetSpec};
+use d16_cc::TargetSpec;
 use d16_isa::Isa;
 use d16_mem::CacheSystem;
-use d16_sim::TraceRecorder;
-use d16_store::Store;
 use d16_telemetry::{timed, Registry};
 use d16_workloads::Workload;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// The five configurations of the paper's grid (Tables 6–7):
 /// `D16/16/2, DLXe/16/2, DLXe/16/3, DLXe/32/2, DLXe/32/3` — plus the
@@ -49,8 +47,8 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// The unrestricted machine of an ISA: the target whose cells record
-/// traces for the cache experiments.
+/// The unrestricted machine of an ISA: the target whose cells sweep the
+/// cache grid for the cache experiments.
 fn unrestricted(isa: Isa) -> TargetSpec {
     match isa {
         Isa::D16 => TargetSpec::d16(),
@@ -87,15 +85,13 @@ pub enum SuiteError {
         /// Target label.
         target: String,
     },
-    /// A queried (workload, ISA) trace was never recorded.
-    MissingTrace {
+    /// A queried (workload, ISA) cache grid was never swept.
+    MissingGrid {
         /// Workload name.
         workload: String,
         /// ISA name.
         isa: String,
     },
-    /// A cache-grid configuration was rejected while setting up a sweep.
-    Config(d16_mem::ConfigError),
     /// A requested (size, block) point is not on the experiment grid.
     OffGrid {
         /// Requested cache size in bytes.
@@ -127,10 +123,9 @@ impl fmt::Display for SuiteError {
             SuiteError::MissingCell { workload, target } => {
                 write!(f, "cell ({workload}, {target}) not collected")
             }
-            SuiteError::MissingTrace { workload, isa } => {
-                write!(f, "trace ({workload}, {isa}) not recorded (trace collection off, or not a cache benchmark)")
+            SuiteError::MissingGrid { workload, isa } => {
+                write!(f, "cache grid ({workload}, {isa}) not swept (grid switch off, or not a cache benchmark)")
             }
-            SuiteError::Config(e) => write!(f, "cache grid: {e}"),
             SuiteError::OffGrid { size, block } => {
                 write!(f, "cache point (size {size}, block {block}) is not on the experiment grid")
             }
@@ -145,7 +140,6 @@ impl std::error::Error for SuiteError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SuiteError::Measure { source, .. } => Some(source),
-            SuiteError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -172,18 +166,14 @@ impl fmt::Display for Skip {
 }
 
 /// One collected cell, before assembly into the maps.
-type CellResult = Result<(Measurement, Option<TraceRecorder>), SuiteError>;
-
-/// Memoized cache-grid replays, keyed like [`Suite::traces`].
-type GridMemo = Arc<Mutex<BTreeMap<(String, String), Arc<Vec<CacheSystem>>>>>;
+type CellResult = Result<Measurement, SuiteError>;
 
 /// The whole measurement grid.
 #[derive(Clone, Debug, Default)]
 pub struct Suite {
-    /// `(workload, target label) -> measurement`.
+    /// `(workload, target label) -> measurement`. The cache benchmarks'
+    /// cells on the unrestricted machines carry their cache grid.
     pub cells: BTreeMap<(String, String), Measurement>,
-    /// `(workload, ISA name) -> trace`, for the cache benchmarks.
-    pub traces: BTreeMap<(String, String), TraceRecorder>,
     /// Wall time spent measuring each cell, keyed like `cells`.
     /// Wall-clock: reporting only, never part of diffed output (the
     /// per-cell [`Measurement`]s stay timing-free so their rendering is
@@ -194,40 +184,28 @@ pub struct Suite {
     /// reports filter rows whose cells are missing, so one failing cell
     /// costs its rows, not the sweep.
     pub skipped: Vec<Skip>,
-    /// Memoized single-pass cache-grid replays, keyed like `traces`.
-    /// Shared across clones: the underlying cells and traces are
-    /// immutable once collected, so the replay results are too.
-    grid_memo: GridMemo,
-    /// Merged telemetry: pipeline counters absorbed in work-item order at
-    /// assembly (deterministic for every `jobs`), plus collection and
-    /// cache-sweep phase spans. Shared across clones, like `grid_memo`,
-    /// because [`Suite::cache_grid`] appends through `&self`.
-    tele: Arc<Mutex<Registry>>,
-    /// The artifact store this suite was collected through, if any, and
-    /// the opt level of its images; retained so [`Suite::cache_grid`] can
-    /// serve and commit grid sweeps under the traced cells' keys.
-    store: Option<Arc<Store>>,
-    opt: OptLevel,
+    /// Merged telemetry, absorbed in work-item order at assembly
+    /// (deterministic for every `jobs`), plus the phase spans.
+    tele: Registry,
 }
 
 impl Suite {
     /// Measures every (workload, target) cell on `jobs` worker threads.
     /// Each cell runs `plan` with the workload and target filled in; the
-    /// plan's `trace` switch records traces for the cache-benchmark
-    /// workloads on the unrestricted machines, where the cache
-    /// experiments need them.
+    /// plan's `cache_grid` switch sweeps the cache grid in the
+    /// cache-benchmark workloads' cells on the unrestricted machines,
+    /// where the cache experiments need it.
     ///
     /// The cells are independent, so they fan out over a scoped thread
     /// pool; cells are assembled — and any skips recorded — in work-item
     /// order, making the result identical for every `jobs` value.
     ///
-    /// With a store in the plan, intact cached cells (and their traces)
-    /// are served without recompiling or re-simulating. Served cells are
+    /// With a store in the plan, intact cached cells (grids included) are
+    /// served without recompiling or re-simulating. Served cells are
     /// bit-identical to computed ones — assembly order, telemetry
     /// absorption, span recording and the checksum gate all run the same
     /// either way — so every diffable output of a warm run matches a cold
-    /// one byte for byte. The store rides along in the suite so lazy grid
-    /// sweeps ([`Suite::cache_grid`]) go through it too.
+    /// one byte for byte.
     ///
     /// A failing cell does not fail the collection: it is dropped and
     /// recorded in [`Suite::skipped`], and a cross-target checksum
@@ -251,17 +229,14 @@ impl Suite {
             let cell = Plan {
                 source: Source::Workload(w),
                 target: spec.clone(),
-                trace: plan.trace && w.cache_benchmark && *spec == unrestricted(spec.isa),
+                cache_grid: plan.cache_grid && w.cache_benchmark && *spec == unrestricted(spec.isa),
                 ..plan.clone()
             };
-            // A recorder keeps its buffer's growth slack; the suite holds
-            // its traces for the whole run, so it keeps exact-size clones.
-            let (m, trace) = cell.measure().map_err(|e| SuiteError::Measure {
+            cell.measure().map_err(|e| SuiteError::Measure {
                 workload: w.name.to_string(),
                 target: spec.label(),
                 source: e,
-            })?;
-            Ok((m, trace.clone()))
+            })
         };
 
         let jobs = jobs.max(1).min(items.len().max(1));
@@ -292,12 +267,11 @@ impl Suite {
         });
         finished.sort_unstable_by_key(|&(i, _)| i);
 
-        let mut suite = Suite { store: plan.store.clone(), opt: plan.opt, ..Suite::default() };
-        let mut reg = Registry::new();
+        let mut suite = Suite::default();
         for (&(wi, si), (_, (result, wall_ns))) in items.iter().zip(finished) {
             let w = workloads[wi];
-            let (m, trace) = match result {
-                Ok(cell) => cell,
+            let m = match result {
+                Ok(m) => m,
                 Err(e) => {
                     suite.skipped.push(Skip {
                         workload: w.name.to_string(),
@@ -312,16 +286,23 @@ impl Suite {
             // D16x cells merge under their own `simx` prefix so the paper
             // grid's `sim.*` counters stay byte-identical with or without
             // the extension target.
-            let prefix = if specs[si].isa == Isa::D16x { "simx" } else { "sim" };
-            reg.absorb(prefix, &m.tele);
+            let isa = specs[si].isa;
+            let reg = &mut suite.tele;
+            reg.absorb(if isa == Isa::D16x { "simx" } else { "sim" }, &m.tele);
             reg.record_span("suite.collect.cell", wall_ns);
-            if let Some(t) = trace {
-                suite.traces.insert((w.name.to_string(), specs[si].isa.name().to_string()), t);
+            if let Some(grid) = &m.grid {
+                // The sweep ran inside the cell, so its span is the
+                // cell's wall time.
+                reg.record_span("suite.cache_grid.sweep", wall_ns);
+                let prefix = format!("grid.{}.{}", w.name, isa.name());
+                reg.absorb(&prefix, &grid.sweep);
+                for sys in &grid.systems {
+                    sys.export_telemetry(reg, &format!("{prefix}.cfg.{}", sys.label()));
+                }
             }
             suite.cell_wall_ns.insert((w.name.to_string(), specs[si].label()), wall_ns);
             suite.cells.insert((w.name.to_string(), specs[si].label()), m);
         }
-        *suite.tele.lock().expect("telemetry lock poisoned") = reg;
 
         // Cross-target checksum agreement: the joint correctness gate.
         // A disagreement means the workload's cells cannot be trusted on
@@ -341,7 +322,6 @@ impl Suite {
                 }
                 .to_string();
                 suite.cells.retain(|(name, _), _| name != w.name);
-                suite.traces.retain(|(name, _), _| name != w.name);
                 suite.cell_wall_ns.retain(|(name, _), _| name != w.name);
                 suite.skipped.push(Skip {
                     workload: w.name.to_string(),
@@ -371,89 +351,45 @@ impl Suite {
         })
     }
 
-    /// The trace for a cache benchmark on an unrestricted machine.
-    ///
-    /// # Errors
-    ///
-    /// [`SuiteError::MissingTrace`] naming the absent pair.
-    pub fn try_trace(&self, workload: &str, isa: Isa) -> Result<&TraceRecorder, SuiteError> {
-        self.traces.get(&(workload.to_string(), isa.name().to_string())).ok_or_else(|| {
-            SuiteError::MissingTrace { workload: workload.to_string(), isa: isa.name().to_string() }
-        })
-    }
-
-    /// The cache-grid systems for one (workload, ISA) trace: every
-    /// configuration of [`crate::experiments::cache_grid_configs`], warmed
-    /// by a *single* shared sweep of the recorded trace
-    /// ([`crate::experiments::cache_grid_sweep`]) and memoized. Figures
-    /// 16–19 and Tables 13–16 all read from this; index with
+    /// The cache-grid systems of one cache benchmark on the unrestricted
+    /// machine of `isa`: every configuration of
+    /// [`crate::experiments::cache_grid_configs`], fed by that cell's own
+    /// run. Figures 16–19 and Tables 13–16 all read from this; index with
     /// [`crate::experiments::cache_grid_index`].
     ///
     /// # Errors
     ///
-    /// [`SuiteError::MissingTrace`] if the trace was never recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memo lock is poisoned (a prior replay panicked).
-    pub fn cache_grid(
-        &self,
-        workload: &str,
-        isa: Isa,
-    ) -> Result<Arc<Vec<CacheSystem>>, SuiteError> {
-        let key = (workload.to_string(), isa.name().to_string());
-        let mut memo = self.grid_memo.lock().expect("grid memo poisoned");
-        if let Some(v) = memo.get(&key) {
-            return Ok(Arc::clone(v));
-        }
-        let trace = self.try_trace(workload, isa)?;
-
-        // A stored sweep carries the finished systems plus the bank's
-        // sweep counters, so the registry ends up with exactly the
-        // entries a live replay's export would have written. Only
-        // registered workloads have stable grid keys.
-        let w = d16_workloads::by_name(workload);
-        let traced = Plan {
-            source: w.map_or(Source::Inline(""), Source::Workload),
-            target: unrestricted(isa),
-            opt: self.opt,
-            store: w.and(self.store.clone()),
-            ..Plan::default()
-        };
-        let (grid, sweep_ns) = timed(|| {
-            traced.through_store(&crate::stored::GRID, || {
-                let bank =
-                    crate::experiments::cache_grid_sweep(trace).map_err(SuiteError::Config)?;
-                let sweep = bank.telemetry().clone();
-                Ok((bank.into_systems(), sweep))
+    /// [`SuiteError::MissingGrid`] if the cell was not collected or did
+    /// not sweep.
+    pub fn cache_grid(&self, workload: &str, isa: Isa) -> Result<&[CacheSystem], SuiteError> {
+        self.cells
+            .get(&(workload.to_string(), unrestricted(isa).label()))
+            .and_then(|m| m.grid.as_ref())
+            .map(|g| g.systems.as_slice())
+            .ok_or_else(|| SuiteError::MissingGrid {
+                workload: workload.to_string(),
+                isa: isa.name().to_string(),
             })
-        });
-        let (systems, sweep) = grid?;
-        {
-            let prefix = format!("grid.{workload}.{}", isa.name());
-            let mut reg = self.tele.lock().expect("telemetry lock poisoned");
-            reg.record_span("suite.cache_grid.sweep", sweep_ns);
-            reg.absorb(&prefix, &sweep);
-            for sys in &systems {
-                sys.export_telemetry(&mut reg, &format!("{prefix}.cfg.{}", sys.label()));
-            }
-        }
-        let systems = Arc::new(systems);
-        memo.insert(key, Arc::clone(&systems));
-        Ok(systems)
     }
 
-    /// A snapshot of the suite's merged telemetry: `sim.*` pipeline
-    /// counters (absorbed in work-item order; D16x cells under `simx.*`),
-    /// `grid.*` per-configuration cache counters (one block per swept
-    /// trace), and the `suite.collect.cell` / `suite.cache_grid.sweep`
-    /// phase spans.
+    /// Every swept cell's grid as `(workload, ISA name, grid)`, in
+    /// (workload, ISA) order.
+    pub fn grids(&self) -> impl Iterator<Item = (&str, &str, &CacheGrid)> {
+        self.cells.iter().filter_map(|((w, target), m)| {
+            let isa = target.split('/').next().unwrap_or(target);
+            Some((w.as_str(), isa, m.grid.as_ref()?))
+        })
+    }
+
+    /// The suite's merged telemetry: `sim.*` pipeline counters (D16x
+    /// cells under `simx.*`), `grid.*` per-configuration cache counters
+    /// (one block per swept cell), and the `suite.collect.cell` /
+    /// `suite.cache_grid.sweep` phase spans.
     ///
     /// Counters and span *counts* are deterministic; span durations are
-    /// wall-clock. Grids sweep lazily, so warm every trace you want
-    /// reported (see [`Suite::cache_grid`]) before snapshotting.
-    pub fn telemetry(&self) -> Registry {
-        self.tele.lock().expect("telemetry lock poisoned").clone()
+    /// wall-clock.
+    pub fn telemetry(&self) -> &Registry {
+        &self.tele
     }
 
     /// Workload names present, in collection order.
@@ -531,13 +467,12 @@ mod tests {
             "{e:?}"
         );
         assert_eq!(e.to_string(), "cell (towers, D16/16/2) not collected");
-        let e = suite.try_trace("assem", Isa::D16).unwrap_err();
+        let e = suite.cache_grid("assem", Isa::D16).unwrap_err();
         assert!(
-            matches!(&e, SuiteError::MissingTrace { workload, isa }
+            matches!(&e, SuiteError::MissingGrid { workload, isa }
                 if workload == "assem" && isa == "D16"),
             "{e:?}"
         );
         assert!(e.to_string().contains("assem"), "{e}");
-        assert!(suite.cache_grid("assem", Isa::D16).is_err());
     }
 }

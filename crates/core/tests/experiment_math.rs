@@ -26,6 +26,8 @@ fn cell(workload: &str, target: &str, size: u64, insns: u64, interlocks: u64) ->
         ireq_bus32: if target.starts_with("D16") { insns * 6 / 10 } else { insns },
         ireq_bus64: if target.starts_with("D16") { insns * 3 / 10 } else { insns / 2 },
         tele: d16_telemetry::Counters::new(&d16_sim::SIM_SCHEMA),
+        grid: None,
+        imm: None,
     }
 }
 

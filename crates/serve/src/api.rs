@@ -1,6 +1,7 @@
 //! The `/v1/run` API: request parsing, the typed error → HTTP status
-//! mapping, and the store-backed response cache around d16-core's build,
-//! run and grid-sweep operations (the same ones `repro` measures with).
+//! mapping, and the store-backed response cache around d16-core's build
+//! and run operations (the same ones `repro` measures with; a sweep
+//! request runs the cache grid as an observer of the run).
 //!
 //! Response bodies are **pure functions of the request**: no wall-clock
 //! time, no machine-dependent counter ever enters a body, so a cached
@@ -11,7 +12,7 @@
 
 use d16_bench::json::Json;
 use d16_cc::{OptLevel, TargetSpec};
-use d16_core::experiments::{cache_grid_configs, cache_grid_sweep};
+use d16_core::experiments::cache_grid_configs;
 use d16_core::measure::FUEL;
 use d16_core::{standard_specs, MeasureError, Plan, Source};
 use d16_sim::{Engine, PipelineSpec, Predictor};
@@ -40,7 +41,7 @@ pub struct RunRequest {
     pub engine: Engine,
     /// Instruction budget for the simulation.
     pub fuel: u64,
-    /// Whether to sweep the 20-config cache grid over the run's trace.
+    /// Whether the run sweeps the 20-config cache grid.
     pub sweep: bool,
     /// Pipeline design point to retime the machine with. The default
     /// spec adds nothing to the cache key and nothing to the body, so
@@ -317,7 +318,9 @@ pub struct RunOutcome {
     pub compile_ns: u64,
     /// Wall time spent simulating (0 on a hit).
     pub execute_ns: u64,
-    /// Wall time spent sweeping the cache grid (0 on a hit / no sweep).
+    /// Wall time spent building the sweep rows from the run's finished
+    /// cache grid (0 on a hit / no sweep); the sweep itself runs inside
+    /// the execution and is timed by `execute_ns`.
     pub sweep_ns: u64,
 }
 
@@ -333,9 +336,9 @@ fn check_deadline(deadline: Instant) -> Result<(), ApiError> {
 }
 
 /// Serves one parsed run request: response-cache lookup, else build →
-/// run → (optional) grid sweep → commit. The compute is d16-core's
-/// [`Plan::build`], [`Plan::run`] and [`cache_grid_sweep`] with no store
-/// of their own: only the finished body is cached. The deadline is
+/// run (sweeping the cache grid inline when asked) → commit. The compute
+/// is d16-core's [`Plan::build`] and [`Plan::run`] with no store of their
+/// own: only the finished body is cached. The deadline is
 /// checked between phases; a fuel budget bounds the simulation itself,
 /// so no phase runs unboundedly long.
 ///
@@ -385,7 +388,7 @@ pub fn run(
         opt: req.opt,
         engine: req.engine,
         fuel: req.fuel,
-        trace: req.sweep,
+        cache_grid: req.sweep,
         store: None,
     };
     if d16_testkit::faults::armed_for("serve-fuel-exhausted", &req.tag) {
@@ -395,7 +398,6 @@ pub fn run(
         MeasureError::Build(e) => ApiError::Compile(e.to_string()),
         MeasureError::Sim(e) => ApiError::Internal(format!("simulator fault: {e}")),
         MeasureError::OutOfFuel => ApiError::FuelExhausted { fuel: plan.fuel },
-        MeasureError::Trace(e) => ApiError::Internal(format!("trace: {e}")),
         e @ MeasureError::WrongChecksum { .. } => ApiError::Internal(e.to_string()),
     };
 
@@ -405,18 +407,16 @@ pub fn run(
     check_deadline(deadline)?;
 
     let t0 = Instant::now();
-    let (m, trace) = plan.run(&image).map_err(fail)?;
+    let m = plan.run(&image).map_err(fail)?;
     let execute_ns = t0.elapsed().as_nanos() as u64;
     check_deadline(deadline)?;
 
-    let (sweep_json, sweep_ns) = match trace {
-        Some(trace) => {
+    let (sweep_json, sweep_ns) = match &m.grid {
+        Some(grid) => {
             let t0 = Instant::now();
-            let bank = cache_grid_sweep(&trace)
-                .map_err(|e| ApiError::Internal(format!("cache config: {e}")))?;
-            let rows: Vec<Json> = bank
-                .into_systems()
-                .into_iter()
+            let rows: Vec<Json> = grid
+                .systems
+                .iter()
                 .map(|sys| {
                     let (i, d) = (*sys.icache(), *sys.dcache());
                     Json::obj()

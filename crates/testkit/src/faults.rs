@@ -18,7 +18,7 @@
 //! ```text
 //! D16_FAILPOINTS=store-io                   repro --smoke --store DIR
 //! D16_FAILPOINTS=regalloc-diverge=ack       repro --only ackermann,towers
-//! D16_FAILPOINTS=trace-truncate=assem,off-grid-config   repro --smoke
+//! D16_FAILPOINTS=smoke-drift,off-grid-config   repro --smoke
 //! ```
 //!
 //! With the variable unset (every production run), an armed-check is one
@@ -85,10 +85,10 @@ mod tests {
         assert_eq!(parse(""), vec![]);
         assert_eq!(parse("store-io"), vec![("store-io".to_string(), None)]);
         assert_eq!(
-            parse("regalloc-diverge=ack, trace-truncate=assem ,,off-grid-config"),
+            parse("regalloc-diverge=ack, serve-slow-worker=slow ,,off-grid-config"),
             vec![
                 ("regalloc-diverge".to_string(), Some("ack".to_string())),
-                ("trace-truncate".to_string(), Some("assem".to_string())),
+                ("serve-slow-worker".to_string(), Some("slow".to_string())),
                 ("off-grid-config".to_string(), None),
             ]
         );

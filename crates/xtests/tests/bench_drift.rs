@@ -1,7 +1,8 @@
 //! Bench drift gate: a fresh in-process regeneration must agree with the
 //! checked-in `BENCH_repro.json` on everything deterministic — grid
-//! shape, trace records, replay counts, and the full telemetry counter
-//! dump. Timings are machine-local and only reported, never asserted.
+//! shape, the accesses each swept cell fed its grid, and the full
+//! telemetry counter dump. Timings are machine-local and only reported,
+//! never asserted.
 //!
 //! `#[ignore]` because it collects the full 15x5 grid (~15 s in release,
 //! far slower in debug). CI runs it explicitly:
@@ -12,7 +13,6 @@
 
 use d16_bench::json::Json;
 use d16_core::{experiments as ex, Plan, Source, Suite};
-use d16_isa::Isa;
 
 fn checked_in_report() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
@@ -41,38 +41,29 @@ fn fresh_run_matches_checked_in_bench_report() {
 
     let t0 = std::time::Instant::now();
     let all: Vec<_> = d16_workloads::SUITE.iter().collect();
-    let plan = Plan { trace: true, ..Plan::default() };
+    let plan = Plan { cache_grid: true, ..Plan::default() };
     let suite = Suite::collect(&plan, &all, &d16_core::standard_specs(), d16_core::default_jobs())
         .expect("collect full grid");
     let collect_ns = t0.elapsed().as_nanos() as u64;
 
     // --- counts: exact -------------------------------------------------
     assert_eq!(u(&pinned, "cells"), suite.cells.len() as u64, "cell count drifted");
-    assert_eq!(u(&pinned, "traces"), suite.traces.len() as u64, "trace count drifted");
+    let swept: Vec<_> = suite.grids().collect();
+    assert_eq!(u(&pinned, "traces"), swept.len() as u64, "swept-cell count drifted");
 
     let grid = pinned.get("cache_grid").expect("cache_grid object");
     assert_eq!(u(grid, "configs"), ex::cache_grid_configs().len() as u64, "config count drifted");
     let sweeps = grid.get("sweeps").and_then(Json::as_arr).expect("sweeps array");
-    assert_eq!(sweeps.len(), suite.traces.len(), "sweep count drifted");
-    for s in sweeps {
-        let w = s.get("workload").and_then(Json::as_str).expect("workload");
-        let isa = match s.get("isa").and_then(Json::as_str) {
-            Some("D16") => Isa::D16,
-            Some("D16x") => Isa::D16x,
-            _ => Isa::Dlxe,
-        };
-        suite.cache_grid(w, isa).expect("warm grid");
-        let trace = suite.try_trace(w, isa).expect("trace recorded");
-        assert_eq!(u(s, "records"), trace.len() as u64, "({w}, {}) records drifted", isa.name());
-        assert_eq!(
-            u(s, "memory_bytes"),
-            trace.memory_bytes() as u64,
-            "({w}, {}) trace memory drifted",
-            isa.name()
-        );
-        // A cold run replays each trace exactly once; a warm --store run
-        // serves the grid without replaying at all. Both are single-pass.
-        assert!(u(s, "replays") <= 1, "single-pass replay regressed for ({w}, {})", isa.name());
+    assert_eq!(sweeps.len(), swept.len(), "sweep count drifted");
+    for (s, (w, isa, g)) in sweeps.iter().zip(&swept) {
+        assert_eq!(s.get("workload").and_then(Json::as_str), Some(*w), "sweep order drifted");
+        assert_eq!(s.get("isa").and_then(Json::as_str), Some(*isa), "sweep order drifted");
+        // The records are the bank's sweep counters: one per access fed,
+        // so they read zero with telemetry compiled out.
+        if d16_telemetry::ENABLED {
+            let records: u64 = g.sweep.values().iter().sum();
+            assert_eq!(u(s, "records"), records, "({w}, {isa}) records drifted");
+        }
     }
 
     // --- telemetry counters: exact (they count events, not time) -------

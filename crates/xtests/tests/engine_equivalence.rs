@@ -1,33 +1,54 @@
 //! Engine-equivalence gate: the block-caching engine must be
 //! *observationally identical* to the per-instruction interpreter on the
 //! real suite — same exit checksum, same pipeline statistics, same
-//! telemetry counter values, and the same access stream byte for byte
-//! (the recorded trace encodes every fetch/read/write in order, so a
-//! byte-equal encoding pins the engines to the same memory behavior at
-//! the same instruction boundaries).
+//! telemetry counter values, the same cache grid, and the same access
+//! stream byte for byte (a trace recorded here encodes every
+//! fetch/read/write in order, so a byte-equal encoding pins the engines
+//! to the same memory behavior at the same instruction boundaries).
 //!
 //! The fast default covers a representative subset on every target
 //! configuration; the `#[ignore]`d test sweeps every (workload, target)
 //! cell of the paper's grid and runs in CI release builds.
 
 use d16_cc::TargetSpec;
-use d16_core::{standard_specs, Engine, PipelineSpec, Plan, Predictor, Source};
+use d16_core::{standard_specs, Engine, Measurement, PipelineSpec, Plan, Predictor, Source};
+use d16_sim::{Machine, TraceRecorder};
 use d16_workloads::Workload;
 
-/// The traced cell (`w`, `spec`) on `engine`.
-fn traced<'a>(
-    w: &'a Workload,
+/// The cell (`w`, `spec`) on `engine`, sweeping the cache grid, plus the
+/// access trace of a second, recorded run of the same image.
+fn traced(
+    w: &Workload,
     spec: &TargetSpec,
     pipeline: PipelineSpec,
     engine: Engine,
-) -> Plan<'a> {
-    Plan {
+) -> (Measurement, TraceRecorder) {
+    let label = format!("({}, {}, {})", w.name, spec.label(), engine.name());
+    let plan = Plan {
         source: Source::Workload(w),
         target: spec.clone(),
         pipeline,
         engine,
-        trace: true,
+        cache_grid: true,
         ..Plan::default()
+    };
+    let m = plan.measure().unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut machine = Machine::load(&plan.build().unwrap_or_else(|e| panic!("{label}: {e}")));
+    machine.set_pipeline(pipeline);
+    let mut trace = TraceRecorder::new();
+    machine
+        .run_with(engine, d16_core::measure::FUEL, &mut trace)
+        .unwrap_or_else(|e| panic!("{label} traced: {e}"));
+    (m, trace)
+}
+
+/// The two engines' grids hold identical statistics.
+fn assert_grids_identical(a: &Measurement, b: &Measurement, label: &str) {
+    let (ga, gb) = (a.grid.as_ref().expect("interp grid"), b.grid.as_ref().expect("blocks grid"));
+    assert_eq!(ga.sweep.values(), gb.sweep.values(), "{label}: sweep counters");
+    for (x, y) in ga.systems.iter().zip(&gb.systems) {
+        assert_eq!(x.icache(), y.icache(), "{label}: {} icache", x.label());
+        assert_eq!(x.dcache(), y.dcache(), "{label}: {} dcache", x.label());
     }
 }
 
@@ -36,19 +57,16 @@ fn traced<'a>(
 fn assert_cell_identical(w: &Workload, spec: &TargetSpec) {
     let label = format!("({}, {})", w.name, spec.label());
     let pipeline = PipelineSpec::default();
-    let (a, ta) = traced(w, spec, pipeline, Engine::Interp)
-        .measure()
-        .unwrap_or_else(|e| panic!("{label} interp: {e}"));
-    let (b, tb) = traced(w, spec, pipeline, Engine::Blocks)
-        .measure()
-        .unwrap_or_else(|e| panic!("{label} blocks: {e}"));
+    let (a, ta) = traced(w, spec, pipeline, Engine::Interp);
+    let (b, tb) = traced(w, spec, pipeline, Engine::Blocks);
     assert_eq!(a.exit, b.exit, "{label}: exit checksum");
     assert_eq!(a.stats, b.stats, "{label}: pipeline statistics");
     assert_eq!(a.size_bytes, b.size_bytes, "{label}: static size");
     assert_eq!(a.ireq_bus32, b.ireq_bus32, "{label}: 32-bit bus requests");
     assert_eq!(a.ireq_bus64, b.ireq_bus64, "{label}: 64-bit bus requests");
     assert_eq!(a.tele.values(), b.tele.values(), "{label}: telemetry counters");
-    let (ta, tb) = (ta.expect("interp trace"), tb.expect("blocks trace"));
+    assert_eq!(a.imm, b.imm, "{label}: Table 4 counts");
+    assert_grids_identical(&a, &b, &label);
     assert_eq!(ta.len(), tb.len(), "{label}: trace record count");
     assert_eq!(ta.encoded_bytes(), tb.encoded_bytes(), "{label}: trace bytes");
 }
@@ -80,17 +98,13 @@ fn engines_agree_at_depth_eight_with_twobit_predictor() {
         let w = d16_workloads::by_name(name).expect("suite workload");
         for spec in standard_specs() {
             let label = format!("({}, {}, depth 8 twobit)", w.name, spec.label());
-            let (a, ta) = traced(w, &spec, deep, Engine::Interp)
-                .measure()
-                .unwrap_or_else(|e| panic!("{label} interp: {e}"));
-            let (b, tb) = traced(w, &spec, deep, Engine::Blocks)
-                .measure()
-                .unwrap_or_else(|e| panic!("{label} blocks: {e}"));
+            let (a, ta) = traced(w, &spec, deep, Engine::Interp);
+            let (b, tb) = traced(w, &spec, deep, Engine::Blocks);
             assert_eq!(a.exit, b.exit, "{label}: exit checksum");
             assert_eq!(a.stats, b.stats, "{label}: pipeline statistics");
             assert!(a.stats.mispredicts > 0, "{label}: twobit at depth 8 must mispredict");
             assert!(a.stats.misfetch_cycles > 0, "{label}: depth 8 must charge misfetch bubbles");
-            let (ta, tb) = (ta.expect("interp trace"), tb.expect("blocks trace"));
+            assert_grids_identical(&a, &b, &label);
             assert_eq!(ta.encoded_bytes(), tb.encoded_bytes(), "{label}: trace bytes");
         }
     }

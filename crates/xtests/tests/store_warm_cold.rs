@@ -1,11 +1,10 @@
 //! The store's headline invariant, at the API level: a suite collected
 //! through a warm store is *bit-identical* to one collected cold — every
-//! measurement field, every trace, every cache-grid statistic, and the
-//! full deterministic telemetry projection. Caching can therefore never
+//! measurement field, every cache-grid statistic, and the full
+//! deterministic telemetry projection. Caching can therefore never
 //! change a paper-facing number (DESIGN.md §6).
 
 use d16_core::{base_specs, Plan, Suite};
-use d16_isa::Isa;
 use d16_store::Store;
 use d16_testkit::TempDir;
 use d16_workloads::Workload;
@@ -16,28 +15,20 @@ fn workloads() -> Vec<&'static Workload> {
 }
 
 fn collect(store: Option<Arc<Store>>) -> Suite {
-    let plan = Plan { trace: true, store, ..Plan::default() };
+    let plan = Plan { cache_grid: true, store, ..Plan::default() };
     Suite::collect(&plan, &workloads(), &base_specs(), 2).expect("suite collects")
 }
 
-/// Warms every grid, then renders the deterministic telemetry projection
-/// (the dump CI byte-diffs) plus the cell and trace inventories.
+/// Renders the deterministic telemetry projection (the dump CI
+/// byte-diffs) plus the cell and grid inventories.
 fn snapshot(suite: &Suite) -> String {
-    let keys: Vec<(String, Isa)> = suite
-        .traces
-        .keys()
-        .map(|(w, isa)| (w.clone(), if isa == "D16" { Isa::D16 } else { Isa::Dlxe }))
-        .collect();
-    for (w, isa) in &keys {
-        suite.cache_grid(w, *isa).expect("grid");
-    }
-    let metrics = d16_bench::report::metrics_json(
-        &suite.telemetry(),
+    d16_bench::report::metrics_json(
+        suite.telemetry(),
         false,
         suite.cells.len(),
-        suite.traces.len(),
-    );
-    metrics.to_string()
+        suite.grids().count(),
+    )
+    .to_string()
 }
 
 fn assert_suites_identical(a: &Suite, b: &Suite, tag: &str) {
@@ -52,19 +43,19 @@ fn assert_suites_identical(a: &Suite, b: &Suite, tag: &str) {
         assert_eq!(ma.ireq_bus32, mb.ireq_bus32, "{tag}: {k:?} ireq32");
         assert_eq!(ma.ireq_bus64, mb.ireq_bus64, "{tag}: {k:?} ireq64");
         assert_eq!(ma.tele.values(), mb.tele.values(), "{tag}: {k:?} telemetry");
-    }
-    assert_eq!(a.traces, b.traces, "{tag}: traces");
-    for (w, isa) in a.traces.keys() {
-        let isa = if isa == "D16" { Isa::D16 } else { Isa::Dlxe };
-        let ga = a.cache_grid(w, isa).unwrap();
-        let gb = b.cache_grid(w, isa).unwrap();
-        assert_eq!(ga.len(), gb.len(), "{tag}: grid size");
-        for (sa, sb) in ga.iter().zip(gb.iter()) {
-            assert_eq!(sa.iconfig(), sb.iconfig(), "{tag}: {w} grid config");
-            assert_eq!(sa.icache(), sb.icache(), "{tag}: {w} icache stats");
-            assert_eq!(sa.dcache(), sb.dcache(), "{tag}: {w} dcache stats");
+        assert_eq!(ma.imm, mb.imm, "{tag}: {k:?} Table 4 counts");
+        assert_eq!(ma.grid.is_some(), mb.grid.is_some(), "{tag}: {k:?} grid presence");
+        if let (Some(ga), Some(gb)) = (&ma.grid, &mb.grid) {
+            assert_eq!(ga.sweep.values(), gb.sweep.values(), "{tag}: {k:?} sweep counters");
+            assert_eq!(ga.systems.len(), gb.systems.len(), "{tag}: grid size");
+            for (sa, sb) in ga.systems.iter().zip(&gb.systems) {
+                assert_eq!(sa.iconfig(), sb.iconfig(), "{tag}: {k:?} grid config");
+                assert_eq!(sa.icache(), sb.icache(), "{tag}: {k:?} icache stats");
+                assert_eq!(sa.dcache(), sb.dcache(), "{tag}: {k:?} dcache stats");
+            }
         }
     }
+    assert_eq!(a.grids().count(), 2, "{tag}: assem swept on both ISAs");
 }
 
 #[test]
@@ -90,7 +81,7 @@ fn warm_suite_matches_cold_suite_bit_for_bit() {
     let ws = warm_store.stats();
     assert_eq!(ws.miss, 0, "warm collection misses nothing");
     assert_eq!(ws.write, 0, "warm collection recomputes nothing");
-    assert!(ws.hit >= 4, "cells and grids served from the store: {ws:?}");
+    assert!(ws.hit >= 4, "cells, grids included, served from the store: {ws:?}");
 }
 
 #[test]

@@ -14,7 +14,7 @@ fn check_workload(name: &str) {
     for spec in standard_specs() {
         let label = spec.label();
         let plan = Plan { source: Source::Workload(w), target: spec, ..Plan::default() };
-        let (m, _) = plan.measure().unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
+        let m = plan.measure().unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
         exits.push((label, m.exit));
     }
     let first = exits[0].1;
@@ -53,8 +53,8 @@ fn suite_is_complete() {
 fn d16_is_denser_on_every_workload() {
     for w in SUITE {
         let on = |target| Plan { source: Source::Workload(w), target, ..Plan::default() };
-        let (d16, _) = on(TargetSpec::d16()).measure().unwrap();
-        let (dlxe, _) = on(TargetSpec::dlxe()).measure().unwrap();
+        let d16 = on(TargetSpec::d16()).measure().unwrap();
+        let dlxe = on(TargetSpec::dlxe()).measure().unwrap();
         assert!(
             d16.text_bytes < dlxe.text_bytes,
             "{}: D16 text {} !< DLXe text {}",
