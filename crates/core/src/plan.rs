@@ -200,11 +200,13 @@ impl Plan<'_> {
     }
 
     /// Whether a run of this plan counts Table 4's immediate classes: a
-    /// registered workload on `DLXe/16/2`. The table averages the suite,
-    /// so an inline source has no row in it, and the count costs every
+    /// paper-suite workload on `DLXe/16/2`. The table averages the suite
+    /// ([`crate::experiments::table4_from_suite`]), so an inline source or
+    /// an extension workload has no row in it, and the count costs every
     /// fetch an add.
     pub(crate) fn counts_table4(&self) -> bool {
-        matches!(self.source, Source::Workload(_)) && self.target == table4_target()
+        let in_suite = |w: &Workload| d16_workloads::SUITE.iter().any(|s| s.name == w.name);
+        matches!(self.source, Source::Workload(w) if in_suite(w)) && self.target == table4_target()
     }
 
     /// Runs `machine` with both fetch-buffer bus models and the two given
@@ -295,8 +297,12 @@ mod tests {
         let plan = Plan { source: Source::Inline(src), ..Plan::default() };
         let m = plan.measure().unwrap();
         assert_eq!((m.workload, m.exit), ("inline", 4950));
-        let t4 = Plan { target: crate::experiments::table4_target(), ..plan.clone() };
-        assert!(t4.measure().unwrap().imm.is_none(), "Table 4 counts only registered workloads");
+        let t4 = Plan { target: table4_target(), ..plan.clone() };
+        assert!(t4.measure().unwrap().imm.is_none(), "Table 4 counts only suite workloads");
+        let ext = cell("fsm", table4_target());
+        assert!(ext.measure().unwrap().imm.is_none(), "extension workloads have no Table 4 row");
+        let suite = cell("towers", table4_target());
+        assert!(suite.measure().unwrap().imm.is_some(), "suite workloads are counted");
         let starved = Plan { fuel: m.stats.insns - 1, ..plan };
         assert!(matches!(starved.measure(), Err(MeasureError::OutOfFuel)));
     }

@@ -392,14 +392,12 @@ impl Suite {
         &self.tele
     }
 
-    /// Workload names present, in collection order.
+    /// Workload names present, sorted by name (not in collection order).
+    /// Every per-workload table in the reports lists its rows in this
+    /// order.
     pub fn workloads(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
-        for (w, _) in self.cells.keys() {
-            if !names.contains(w) {
-                names.push(w.clone());
-            }
-        }
+        let mut names: Vec<String> = self.cells.keys().map(|(w, _)| w.clone()).collect();
+        names.dedup();
         names
     }
 }

@@ -160,9 +160,9 @@ pub fn check_source(src: &str, reference: i32) -> Outcome {
 /// The engine-agreement oracle always runs at the default pipeline spec
 /// (the byte-for-byte historical contract); when `pspec` is non-default
 /// it runs a second time at that configuration, which exercises the
-/// BlockEngine's dynamic lowering — fusion off, runtime scoreboard,
-/// predictor and misfetch accounting — a code path the default-spec
-/// comparison never reaches.
+/// BlockEngine's dynamic-timing flavor — runtime scoreboard, predictor
+/// and misfetch accounting — a code path the default-spec comparison
+/// never reaches.
 pub fn check_source_at(src: &str, reference: i32, pspec: PipelineSpec) -> Outcome {
     for (spec, opt) in grid() {
         let image = match compile_to_image_with(&[src], &spec, opt) {

@@ -17,7 +17,7 @@
 //! execute through [`crate::Machine::step`], which stays the normative
 //! semantics.
 
-use crate::machine::{fuse_a_shape, fuse_b_matches, FuseA, Machine, PipelineSpec};
+use crate::machine::{fuse_a_shape, fuse_b_matches, FuseA, Machine};
 use d16_isa::{AluOp, Cond, Gpr, Insn, Isa, MemWidth, UnOp};
 
 /// Write-discard register-file slot: DLXe `r0` as a *destination* lowers
@@ -186,108 +186,6 @@ pub(crate) mod opc {
     pub const JL: u8 = 55;
     pub const JAL: u8 = 56;
     pub const NOP: u8 = 57;
-
-    // ---- Fused pairs ----
-    //
-    // One packed step standing for two consecutive instructions (see
-    // `fuse_pair`): the dominant adjacent pairs in the suite traces —
-    // the compilers' 2-address `mv`+op idiom and branch/delay-slot
-    // tails — each retire with a single dispatch. `unfuse` maps a fused
-    // code back to its two component codes; everything cold (tallies,
-    // bail prefix sums) goes through it, so the hot arms are the only
-    // place the pairing is spelled out twice.
-    // 58..=65: ALU register-immediate, then `Mv` (base + `alu_sel`).
-    pub const ALU_RI_MV: u8 = 58;
-    // 66..=73: `Mv`, then ALU register-immediate (base + `alu_sel`).
-    pub const MV_ALU_RI: u8 = 66;
-    // 74..=81: ALU register-register, then `Mv` (base + `alu_sel`).
-    pub const ALU_RR_MV: u8 = 74;
-    // 82..=89: `Mv`, then ALU register-register (base + `alu_sel`).
-    pub const MV_ALU_RR: u8 = 82;
-    // 90..=97: ALU register-immediate, then `Br` (base + `alu_sel`).
-    pub const ALU_RI_BR: u8 = 90;
-    /// `Br` with a `Nop` delay slot.
-    pub const BR_NOP: u8 = 98;
-    /// Zero-taken `Bc` with a `Nop` delay slot.
-    pub const BC_Z_NOP: u8 = 99;
-    /// Nonzero-taken `Bc` with a `Nop` delay slot.
-    pub const BC_NZ_NOP: u8 = 100;
-    /// `Br` with a `Mv` delay slot.
-    pub const BR_MV: u8 = 101;
-    /// Two consecutive `Mv`s.
-    pub const MV_MV: u8 = 102;
-    /// `Mv`, then a nonzero-taken `Bc`.
-    pub const MV_BC_NZ: u8 = 103;
-    // Named members of the five fused ALU groups, for match patterns.
-    pub const ADD_RI_MV: u8 = ALU_RI_MV;
-    pub const SUB_RI_MV: u8 = ALU_RI_MV + 1;
-    pub const AND_RI_MV: u8 = ALU_RI_MV + 2;
-    pub const OR_RI_MV: u8 = ALU_RI_MV + 3;
-    pub const XOR_RI_MV: u8 = ALU_RI_MV + 4;
-    pub const SHL_RI_MV: u8 = ALU_RI_MV + 5;
-    pub const SHR_RI_MV: u8 = ALU_RI_MV + 6;
-    pub const SHRA_RI_MV: u8 = ALU_RI_MV + 7;
-    pub const ADD_MV_RI: u8 = MV_ALU_RI;
-    pub const SUB_MV_RI: u8 = MV_ALU_RI + 1;
-    pub const AND_MV_RI: u8 = MV_ALU_RI + 2;
-    pub const OR_MV_RI: u8 = MV_ALU_RI + 3;
-    pub const XOR_MV_RI: u8 = MV_ALU_RI + 4;
-    pub const SHL_MV_RI: u8 = MV_ALU_RI + 5;
-    pub const SHR_MV_RI: u8 = MV_ALU_RI + 6;
-    pub const SHRA_MV_RI: u8 = MV_ALU_RI + 7;
-    pub const ADD_RR_MV: u8 = ALU_RR_MV;
-    pub const SUB_RR_MV: u8 = ALU_RR_MV + 1;
-    pub const AND_RR_MV: u8 = ALU_RR_MV + 2;
-    pub const OR_RR_MV: u8 = ALU_RR_MV + 3;
-    pub const XOR_RR_MV: u8 = ALU_RR_MV + 4;
-    pub const SHL_RR_MV: u8 = ALU_RR_MV + 5;
-    pub const SHR_RR_MV: u8 = ALU_RR_MV + 6;
-    pub const SHRA_RR_MV: u8 = ALU_RR_MV + 7;
-    pub const ADD_MV_RR: u8 = MV_ALU_RR;
-    pub const SUB_MV_RR: u8 = MV_ALU_RR + 1;
-    pub const AND_MV_RR: u8 = MV_ALU_RR + 2;
-    pub const OR_MV_RR: u8 = MV_ALU_RR + 3;
-    pub const XOR_MV_RR: u8 = MV_ALU_RR + 4;
-    pub const SHL_MV_RR: u8 = MV_ALU_RR + 5;
-    pub const SHR_MV_RR: u8 = MV_ALU_RR + 6;
-    pub const SHRA_MV_RR: u8 = MV_ALU_RR + 7;
-    pub const ADD_RI_BR: u8 = ALU_RI_BR;
-    pub const SUB_RI_BR: u8 = ALU_RI_BR + 1;
-    pub const AND_RI_BR: u8 = ALU_RI_BR + 2;
-    pub const OR_RI_BR: u8 = ALU_RI_BR + 3;
-    pub const XOR_RI_BR: u8 = ALU_RI_BR + 4;
-    pub const SHL_RI_BR: u8 = ALU_RI_BR + 5;
-    pub const SHR_RI_BR: u8 = ALU_RI_BR + 6;
-    pub const SHRA_RI_BR: u8 = ALU_RI_BR + 7;
-    // Inclusive ends of the five fused ALU groups, for range patterns.
-    pub const ALU_RI_MV_END: u8 = ALU_RI_MV + 7;
-    pub const MV_ALU_RI_END: u8 = MV_ALU_RI + 7;
-    pub const ALU_RR_MV_END: u8 = ALU_RR_MV + 7;
-    pub const MV_ALU_RR_END: u8 = MV_ALU_RR + 7;
-    pub const ALU_RI_BR_END: u8 = ALU_RI_BR + 7;
-}
-
-/// The two component opcodes of a fused code, `None` for plain codes.
-pub(crate) fn unfuse(code: u8) -> Option<(u8, u8)> {
-    Some(match code {
-        opc::ALU_RI_MV..=opc::ALU_RI_MV_END => (opc::ALU_RI + (code - opc::ALU_RI_MV), opc::MV),
-        opc::MV_ALU_RI..=opc::MV_ALU_RI_END => (opc::MV, opc::ALU_RI + (code - opc::MV_ALU_RI)),
-        opc::ALU_RR_MV..=opc::ALU_RR_MV_END => (opc::ALU_RR + (code - opc::ALU_RR_MV), opc::MV),
-        opc::MV_ALU_RR..=opc::MV_ALU_RR_END => (opc::MV, opc::ALU_RR + (code - opc::MV_ALU_RR)),
-        opc::ALU_RI_BR..=opc::ALU_RI_BR_END => (opc::ALU_RI + (code - opc::ALU_RI_BR), opc::BR),
-        opc::BR_NOP => (opc::BR, opc::NOP),
-        opc::BC_Z_NOP => (opc::BC_Z, opc::NOP),
-        opc::BC_NZ_NOP => (opc::BC_NZ, opc::NOP),
-        opc::BR_MV => (opc::BR, opc::MV),
-        opc::MV_MV => (opc::MV, opc::MV),
-        opc::MV_BC_NZ => (opc::MV, opc::BC_NZ),
-        _ => return None,
-    })
-}
-
-/// Instructions a packed step retires: 2 for fused pairs, else 1.
-pub(crate) fn step_width(code: u8) -> u32 {
-    1 + u32::from(unfuse(code).is_some())
 }
 
 /// Offset of an [`AluOp`] within the `ALU_RR`/`ALU_RI` opcode groups.
@@ -355,12 +253,8 @@ pub(crate) struct XStep {
     /// timing path (stalls there are one cycle each), which is the only
     /// path that reads it. Saturated on encode like `stall`.
     pub cum: u8,
-    /// Byte length of the first (or only) component instruction: the
-    /// dispatch loop's first fetch size and mid-pair PC advance.
-    pub len1: u8,
-    /// Byte length of the last component instruction (equals `len1` on a
-    /// plain step): the second fetch size and end-of-step PC advance.
-    pub tail: u8,
+    /// See [`Step::len`]: the step's fetch size and PC advance.
+    pub len: u8,
 }
 
 const _: () = assert!(2 * MAX_BLOCK_LEN <= u8::MAX as usize);
@@ -376,8 +270,7 @@ fn encode(s: &Step) -> XStep {
         aux: 0,
         stall: s.stall.min(u32::from(u8::MAX)) as u8,
         cum: s.cum.min(u32::from(u8::MAX)) as u8,
-        len1: s.len,
-        tail: s.len,
+        len: s.len,
     };
     match s.uop {
         Uop::Alu { op, rd, rs1, rs2 } => {
@@ -538,192 +431,33 @@ pub(crate) fn tally(steps: &[Step]) -> Tally {
 /// only has the block's [`XStep`]s). The opcode space is laid out in
 /// class-contiguous ranges so this stays a handful of range tests;
 /// `lower_block` debug-asserts it agrees with [`tally`] on every block.
-fn classify(code: u8, t: &mut Tally) {
-    match code {
-        opc::ALU_RR..=opc::MOVI => {
-            t.ex_alu += 1;
-            t.wb_gpr += 1;
-        }
-        opc::LD_B..=opc::LD_ABS => {
-            t.loads += 1;
-            t.wb_gpr += 1;
-        }
-        opc::ST_B..=opc::ST_W => t.stores += 1,
-        opc::BR | opc::JR => {
-            t.ex_control += 1;
-            t.static_taken += 1;
-        }
-        opc::JL | opc::JAL => {
-            t.ex_control += 1;
-            t.static_taken += 1;
-            t.wb_gpr += 1;
-        }
-        opc::BC_Z | opc::BC_NZ | opc::JC_Z | opc::JC_NZ => t.ex_control += 1,
-        _ => t.ex_nop += 1,
-    }
-}
-
 pub(crate) fn xtally(steps: &[XStep]) -> Tally {
     let mut t = Tally::default();
     for s in steps {
-        match unfuse(s.code) {
-            Some((first, second)) => {
-                classify(first, &mut t);
-                classify(second, &mut t);
+        match s.code {
+            opc::ALU_RR..=opc::MOVI => {
+                t.ex_alu += 1;
+                t.wb_gpr += 1;
             }
-            None => classify(s.code, &mut t),
+            opc::LD_B..=opc::LD_ABS => {
+                t.loads += 1;
+                t.wb_gpr += 1;
+            }
+            opc::ST_B..=opc::ST_W => t.stores += 1,
+            opc::BR | opc::JR => {
+                t.ex_control += 1;
+                t.static_taken += 1;
+            }
+            opc::JL | opc::JAL => {
+                t.ex_control += 1;
+                t.static_taken += 1;
+                t.wb_gpr += 1;
+            }
+            opc::BC_Z | opc::BC_NZ | opc::JC_Z | opc::JC_NZ => t.ex_control += 1,
+            _ => t.ex_nop += 1,
         }
     }
     t
-}
-
-/// Per-block copy propagation: rewrites micro-op *sources* so a value
-/// flowing through a `Mv` is read from its origin slot instead of the
-/// copy. Values are identical by construction (every slot write is a
-/// plain array store, hardwired-zero included via [`SCRATCH_REG`]), so
-/// nothing observable moves — but the engine's hottest latency chain, a
-/// `Mv` store immediately reloaded by the consumer (the compilers'
-/// 2-address idiom), becomes two independent reads of the origin slot.
-///
-/// Runs *after* stall marking and the cycle/tally/`first_srcs` sums:
-/// interlocks are architectural, so they must see the written registers,
-/// not the renamed ones.
-fn propagate_copies(steps: &mut [Step]) {
-    // `canon[s]` holds a slot whose current value equals slot `s`'s; the
-    // map is kept canonical (`canon[canon[s]] == canon[s]`), so a write
-    // to `d` resets every entry pointing at `d` in one sweep.
-    let mut canon: [u8; 64] = core::array::from_fn(|i| i as u8);
-    let r = |canon: &[u8; 64], s: &mut u8| *s = canon[*s as usize];
-    for step in steps {
-        let write = |canon: &mut [u8; 64], d: u8| {
-            for (x, c) in canon.iter_mut().enumerate() {
-                if *c == d {
-                    *c = x as u8;
-                }
-            }
-            canon[d as usize] = d;
-        };
-        match &mut step.uop {
-            Uop::Un { op: UnOp::Mv, rd, rs } => {
-                r(&canon, rs);
-                let (rd, src) = (*rd, *rs);
-                write(&mut canon, rd);
-                if src != rd {
-                    canon[rd as usize] = src;
-                }
-            }
-            Uop::Alu { rd, rs1, rs2, .. } | Uop::Cmp { rd, rs1, rs2, .. } => {
-                r(&canon, rs1);
-                r(&canon, rs2);
-                write(&mut canon, *rd);
-            }
-            Uop::AluI { rd, rs1, .. } | Uop::CmpI { rd, rs1, .. } => {
-                r(&canon, rs1);
-                write(&mut canon, *rd);
-            }
-            Uop::Un { rd, rs, .. } => {
-                r(&canon, rs);
-                write(&mut canon, *rd);
-            }
-            Uop::MovImm { rd, .. } | Uop::LdAbs { rd, .. } => write(&mut canon, *rd),
-            Uop::Ld { rd, base, .. } => {
-                r(&canon, base);
-                write(&mut canon, *rd);
-            }
-            Uop::St { rs, base, .. } => {
-                r(&canon, rs);
-                r(&canon, base);
-            }
-            Uop::Bc { rs, .. } => r(&canon, rs),
-            Uop::Jc { rs, target, .. } => {
-                r(&canon, rs);
-                r(&canon, target);
-            }
-            Uop::Jr { target } => r(&canon, target),
-            Uop::Jl { target, link, .. } => {
-                r(&canon, target);
-                write(&mut canon, *link);
-            }
-            Uop::Jal { link, .. } => write(&mut canon, *link),
-            Uop::Br { .. } | Uop::Nop => {}
-        }
-    }
-}
-
-/// Fuses adjacent micro-op pairs into single packed steps, greedily and
-/// left to right. Only pairs whose components cannot fault are fused, so
-/// a [`Bail`](super::engine) index always lands on a plain step; the
-/// second component can never carry a static interlock either (it would
-/// need a load immediately before it — the first component, never a
-/// load), so one `stall` flag and the second component's `cum` describe
-/// the pair exactly.
-fn fuse(packed: Vec<XStep>) -> Vec<XStep> {
-    let mut out = Vec::with_capacity(packed.len());
-    let mut i = 0;
-    while i < packed.len() {
-        if i + 1 < packed.len() {
-            if let Some(f) = fuse_pair(&packed[i], &packed[i + 1]) {
-                out.push(f);
-                i += 2;
-                continue;
-            }
-        }
-        out.push(packed[i]);
-        i += 1;
-    }
-    out
-}
-
-/// The pair table behind [`fuse`]: the traces' hottest adjacent pairs
-/// (the 2-address `mv`+ALU idiom and branch/delay-slot block tails),
-/// re-packed into one `XStep`. Operand layout per family is documented
-/// on the arm in `exec_block`; the second component's registers ride in
-/// whatever fields the first leaves free (`c`/`aux`, byte-packed for
-/// register-register pairs).
-fn fuse_pair(x: &XStep, y: &XStep) -> Option<XStep> {
-    let f = |code: u8, a: u8, b: u8, c: u8, imm: u32, aux: u32| {
-        // No fusable first component is a load, so the second component
-        // can never be the stalling side of a load-use pair.
-        debug_assert!(y.stall == 0, "second fusion component stalls without a load before it");
-        Some(XStep {
-            code,
-            a,
-            b,
-            c,
-            imm,
-            aux,
-            stall: x.stall,
-            cum: y.cum,
-            len1: x.len1,
-            tail: y.tail,
-        })
-    };
-    match (x.code, y.code) {
-        (opc::ALU_RI..=opc::SHRA_RI, opc::MV) => {
-            f(opc::ALU_RI_MV + (x.code - opc::ALU_RI), x.a, x.b, y.a, x.imm, u32::from(y.b))
-        }
-        (opc::MV, opc::ALU_RI..=opc::SHRA_RI) => {
-            f(opc::MV_ALU_RI + (y.code - opc::ALU_RI), x.a, x.b, y.a, y.imm, u32::from(y.b))
-        }
-        (opc::ALU_RR..=opc::SHRA_RR, opc::MV) => {
-            let pack = u32::from(y.a) | u32::from(y.b) << 8;
-            f(opc::ALU_RR_MV + (x.code - opc::ALU_RR), x.a, x.b, x.c, 0, pack)
-        }
-        (opc::MV, opc::ALU_RR..=opc::SHRA_RR) => {
-            let pack = u32::from(y.b) | u32::from(y.c) << 8;
-            f(opc::MV_ALU_RR + (y.code - opc::ALU_RR), x.a, x.b, y.a, 0, pack)
-        }
-        (opc::ALU_RI..=opc::SHRA_RI, opc::BR) => {
-            f(opc::ALU_RI_BR + (x.code - opc::ALU_RI), x.a, x.b, 0, x.imm, y.imm)
-        }
-        (opc::BR, opc::NOP) => f(opc::BR_NOP, 0, 0, 0, x.imm, 0),
-        (opc::BC_Z, opc::NOP) => f(opc::BC_Z_NOP, x.a, 0, 0, x.imm, x.aux),
-        (opc::BC_NZ, opc::NOP) => f(opc::BC_NZ_NOP, x.a, 0, 0, x.imm, x.aux),
-        (opc::BR, opc::MV) => f(opc::BR_MV, y.a, y.b, 0, x.imm, 0),
-        (opc::MV, opc::MV) => f(opc::MV_MV, x.a, x.b, y.a, 0, u32::from(y.b)),
-        (opc::MV, opc::BC_NZ) => f(opc::MV_BC_NZ, x.a, x.b, y.a, y.imm, y.aux),
-        _ => None,
-    }
 }
 
 /// Kind tags for D16x macro-op pairs in [`Block::head_fuse`] and
@@ -735,8 +469,7 @@ pub(crate) const FUSE_LUI_ADDI: u8 = 1;
 /// The B-shape of an instruction as the (kind, register) a prior A-half
 /// must present to fuse with it — the head-of-block dual of
 /// [`fuse_b_matches`], classified on the raw instruction because `Lui`
-/// and `Mvi` are indistinguishable once lowered (both become `MovImm`,
-/// and copy propagation rewrites micro-op sources besides).
+/// and `Mvi` are indistinguishable once lowered (both become `MovImm`).
 fn head_shape(insn: &Insn) -> Option<(u8, u8)> {
     match *insn {
         Insn::Bc { rs, .. } => Some((FUSE_CMP_BR, rs.index() as u8)),
@@ -753,11 +486,8 @@ fn head_shape(insn: &Insn) -> Option<(u8, u8)> {
 pub(crate) struct Block {
     /// PC of the first instruction.
     pub start_pc: u32,
-    /// The packed micro-ops, in program order. Fused steps ([`unfuse`])
-    /// retire two instructions, so this can be shorter than [`Block::len`].
+    /// The packed micro-ops, in program order: one per instruction.
     pub steps: Box<[XStep]>,
-    /// Instructions the block retires (components of fused steps count).
-    pub n_insns: u32,
     pub exit: BlockExit,
     /// Mapped source slots of the first micro-op, for the one dynamic
     /// interlock check a block needs ([`ZERO_REG`] when absent).
@@ -791,7 +521,7 @@ pub(crate) struct Block {
     /// D16x: the machine's fusion state after the whole block retires —
     /// the last instruction's A-shape keyed by its successor PC.
     pub exit_fuse: Option<(u32, FuseA)>,
-    /// D16x: internal fused pairs as (semantic index of the B-half,
+    /// D16x: internal fused pairs as (step index of the B-half,
     /// kind), for prefix counting on the bail path.
     pub fuse_pairs: Box<[(u32, u8)]>,
     /// Internal compare→branch pairs (head pair excluded).
@@ -803,7 +533,7 @@ pub(crate) struct Block {
 impl Block {
     /// Number of instructions in the block.
     pub fn len(&self) -> usize {
-        self.n_insns as usize
+        self.steps.len()
     }
 }
 
@@ -855,9 +585,7 @@ fn uop_srcs(u: &Uop) -> [u8; 2] {
 
 /// Mapped source slots of a *packed* step, for the dynamic-timing path's
 /// per-step interlock check ([`ZERO_REG`] pads absent operands). Mirrors
-/// [`uop_srcs`] over the [`XStep`] operand layout; fused opcodes never
-/// occur in dynamic-timing blocks (fusion is disabled there), so they
-/// fall through to the no-source row.
+/// [`uop_srcs`] over the [`XStep`] operand layout.
 pub(crate) fn xstep_srcs(x: &XStep) -> [u8; 2] {
     match x.code {
         opc::ALU_RR..=opc::SHRA_RR | opc::CMP_RR..=opc::GEU_RR => [x.b, x.c],
@@ -869,14 +597,7 @@ pub(crate) fn xstep_srcs(x: &XStep) -> [u8; 2] {
         | opc::LD_B..=opc::LD_W => [x.b, ZERO_REG],
         opc::ST_B..=opc::ST_W | opc::JC_Z | opc::JC_NZ => [x.a, x.b],
         opc::BC_Z | opc::BC_NZ | opc::JR | opc::JL => [x.a, ZERO_REG],
-        _ => {
-            debug_assert!(
-                unfuse(x.code).is_none(),
-                "fused opcode {} in a dynamic-timing block",
-                x.code
-            );
-            [ZERO_REG; 2]
-        }
+        _ => [ZERO_REG; 2],
     }
 }
 
@@ -989,8 +710,8 @@ fn add_disp(base: u32, disp: i32) -> u32 {
 pub(crate) fn lower_block(m: &Machine, start_pc: u32) -> Option<Block> {
     let unit = m.isa.insn_bytes();
     let mut steps: Vec<Step> = Vec::new();
-    // Source PC, byte length, and raw instruction of every semantic step:
-    // the fetch-word walk needs the real byte extents, and the fusion
+    // Source PC, byte length, and raw instruction of every step: the
+    // fetch-word walk needs the real byte extents, and the D16x fusion
     // scan must classify *instructions* (see [`head_shape`]).
     let mut metas: Vec<(u32, u32, Insn)> = Vec::new();
     let mut exit = BlockExit::FallThrough;
@@ -1088,37 +809,16 @@ pub(crate) fn lower_block(m: &Machine, start_pc: u32) -> Option<Block> {
             ready[d as usize] = t;
         }
     }
-    let cum = t as u32;
 
-    // With the architectural sums fixed, rename copied values back to
-    // their origin slots, then pack the steps into their execution form
-    // and fuse the hot adjacent pairs. All the per-instruction sums
-    // (tally, cycles, stalls, fetch words) are over the semantic steps,
-    // so neither rewrite changes them. Dynamic-timing blocks (non-default
-    // spec) skip both rewrites: the per-step scoreboard needs every
-    // step's *architectural* sources, and fused pairs would hide a
-    // component issue boundary.
-    let dynamic = m.pspec != PipelineSpec::default();
-    let first_srcs = uop_srcs(&steps[0].uop);
-    if !dynamic {
-        propagate_copies(&mut steps);
-    }
     let packed: Vec<XStep> = steps.iter().map(encode).collect();
-    let packed = if dynamic { packed } else { fuse(packed) };
     debug_assert_eq!(tally(&steps), xtally(&packed), "opcode classification drifted");
-    debug_assert_eq!(
-        steps.len() as u32,
-        packed.iter().map(|s| step_width(s.code)).sum::<u32>(),
-        "fusion changed the retired-instruction count"
-    );
     let fmask = m.pspec.fetch_mask();
     let mut b = Block {
         start_pc,
         exit,
-        n_insns: steps.len() as u32,
-        first_srcs,
+        first_srcs: uop_srcs(&steps[0].uop),
         totals: tally(&steps),
-        cycles: u64::from(cum),
+        cycles: t,
         static_stalls,
         static_stall_cycles,
         steps: packed.into_boxed_slice(),

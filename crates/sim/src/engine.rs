@@ -41,9 +41,9 @@
 //! [`exec_block`] is therefore compiled in two flavors (`DYN` const
 //! generic): the static flavor is byte-for-byte the historical fast
 //! path, and the dynamic flavor re-checks every step's sources, commits
-//! the clock per step, and drives the shared branch predictor — with
-//! fusion and copy propagation disabled at lowering time so the packed
-//! operands stay architectural.
+//! the clock per step, and drives the shared branch predictor. Both
+//! flavors run the same lowered blocks: every instruction is one packed
+//! step whose operands are its architectural registers.
 
 use crate::access::AccessSink;
 use crate::block::{self, opc, Block, BlockExit};
@@ -123,8 +123,8 @@ const SLOT_NO_BLOCK: u32 = u32::MAX - 1;
 /// exist to detect a machine swap, since a machine's own text is
 /// immutable (stores into it fault). The pipeline spec is a keying field
 /// because lowering bakes spec-derived facts into blocks (static stall
-/// schedules, fetch-unit boundaries, fusion on/off): a cache built at
-/// one spec is silently wrong at another.
+/// schedules, fetch-unit boundaries): a cache built at one spec is
+/// silently wrong at another.
 #[derive(Clone, Debug)]
 pub struct BlockEngine {
     isa: Isa,
@@ -340,36 +340,16 @@ impl BlockEngine {
                 self.fallback_step(m, sink)?;
                 continue;
             }
-            loop {
-                let r = if dyn_mode {
-                    exec_block::<true, _>(m, b, &mut acc, sink)
-                } else {
-                    exec_block::<false, _>(m, b, &mut acc, sink)
-                };
-                match r {
-                    Ok(()) => {
-                        // Self-loop fast path: a block whose exit lands
-                        // back on its own head (a single-block loop) can
-                        // re-enter directly — the dispatch-loop checks it
-                        // would re-run are all statically known to pass
-                        // except halt/pending/fuel, checked here.
-                        if m.pc == b.start_pc
-                            && m.pending_target.is_none()
-                            && m.halted.is_none()
-                            && end - (m.stats.insns + acc.insns) >= b.len() as u64
-                        {
-                            acc.hits += 1;
-                            continue;
-                        }
-                        pred = Some(id);
-                        break;
-                    }
-                    Err(why) => {
-                        acc.flush(m, &mut self.tele);
-                        let b = &self.blocks[id as usize];
-                        bail(m, b, &why, dyn_mode, &mut self.tele, sink)?;
-                        break;
-                    }
+            let r = if dyn_mode {
+                exec_block::<true, _>(m, b, &mut acc, sink)
+            } else {
+                exec_block::<false, _>(m, b, &mut acc, sink)
+            };
+            match r {
+                Ok(()) => pred = Some(id),
+                Err(why) => {
+                    acc.flush(m, &mut self.tele);
+                    bail(m, b, &why, dyn_mode, &mut self.tele, sink)?;
                 }
             }
         }
@@ -580,32 +560,32 @@ fn exec_block<const DYN: bool, S: AccessSink>(
         // site (macro hygiene resolves them there).
         macro_rules! rr {
             ($op:expr) => {{
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], m.gpr[slot!(s.c)]);
             }};
         }
         macro_rules! ri {
             ($op:expr) => {{
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], s.imm);
             }};
         }
         macro_rules! cmp_rr {
             ($cond:expr) => {{
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] =
                     if $cond.eval(m.gpr[slot!(s.b)], m.gpr[slot!(s.c)]) { u32::MAX } else { 0 };
             }};
         }
         macro_rules! cmp_ri {
             ($cond:expr) => {{
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] = if $cond.eval(m.gpr[slot!(s.b)], s.imm) { u32::MAX } else { 0 };
             }};
         }
         macro_rules! un {
             ($op:expr) => {{
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)]);
             }};
         }
@@ -622,7 +602,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 if ea as u64 + $bl > m.mem.len() as u64 || ea & ($bl as u32 - 1) != 0 {
                     return Err(Bail { i, d, pending, taken, untaken, events: ev, cycles: cyc });
                 }
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 sink.read(ea, $bl as u8);
                 let $a = ea as usize;
                 m.gpr[slot!(s.a)] = $val;
@@ -641,61 +621,11 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 {
                     return Err(Bail { i, d, pending, taken, untaken, events: ev, cycles: cyc });
                 }
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 sink.write(ea, $bl as u8);
                 let $a = ea as usize;
                 let $v = m.gpr[slot!(s.a)];
                 $put;
-            }};
-        }
-        // The fused-pair arm bodies (see `block::fuse_pair` for the
-        // operand packing): two fetches, two effects, one dispatch. The
-        // extra `len1` advance between the halves keeps the fetch stream
-        // byte-identical to the unfused steps; none of the fused
-        // components touch memory, so no other sink traffic moves.
-        macro_rules! ri_mv {
-            ($op:expr) => {{
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], s.imm);
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                m.gpr[slot!(s.c)] = m.gpr[slot!(s.aux)];
-            }};
-        }
-        macro_rules! mv_ri {
-            ($op:expr) => {{
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = m.gpr[slot!(s.b)];
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                m.gpr[slot!(s.c)] = $op.eval(m.gpr[slot!(s.aux)], s.imm);
-            }};
-        }
-        macro_rules! rr_mv {
-            ($op:expr) => {{
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], m.gpr[slot!(s.c)]);
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                m.gpr[slot!(s.aux)] = m.gpr[slot!(s.aux >> 8)];
-            }};
-        }
-        macro_rules! mv_rr {
-            ($op:expr) => {{
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = m.gpr[slot!(s.b)];
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                m.gpr[slot!(s.c)] = $op.eval(m.gpr[slot!(s.aux)], m.gpr[slot!(s.aux >> 8)]);
-            }};
-        }
-        macro_rules! ri_br {
-            ($op:expr) => {{
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], s.imm);
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                pending = Some(s.aux);
             }};
         }
         // One flat jump per micro-op: the opcode byte already encodes the
@@ -742,7 +672,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             opc::INV => un!(UnOp::Inv),
             opc::MV => un!(UnOp::Mv),
             opc::MOVI => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] = s.imm;
             }
             opc::LD_B => ld!(1u64, a, m.mem[a] as i8 as i32 as u32),
@@ -754,7 +684,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             }
             opc::LD_ABS => {
                 // Pre-validated at lowering time: cannot fault.
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 sink.read(s.imm, 4);
                 let a = s.imm as usize;
                 m.gpr[slot!(s.a)] =
@@ -768,11 +698,11 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             }
             opc::ST_W => st!(4u64, a, v, m.mem[a..a + 4].copy_from_slice(&v.to_le_bytes())),
             opc::BR => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 pending = Some(s.imm);
             }
             opc::BC_Z => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 if m.gpr[slot!(s.a)] == 0 {
                     pending = Some(s.imm);
                     taken += 1;
@@ -782,7 +712,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
             opc::BC_NZ => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 if m.gpr[slot!(s.a)] != 0 {
                     pending = Some(s.imm);
                     taken += 1;
@@ -792,11 +722,11 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
             opc::JR => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 pending = Some(m.gpr[slot!(s.a)]);
             }
             opc::JC_Z => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 if m.gpr[slot!(s.a)] == 0 {
                     pending = Some(m.gpr[slot!(s.b)]);
                     taken += 1;
@@ -806,7 +736,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
             opc::JC_NZ => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 if m.gpr[slot!(s.a)] != 0 {
                     pending = Some(m.gpr[slot!(s.b)]);
                     taken += 1;
@@ -818,114 +748,17 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             opc::JL => {
                 // Read the target before writing the link — they may be
                 // the same register (the interpreter reads first too).
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 let dest = m.gpr[slot!(s.a)];
                 m.gpr[slot!(s.b)] = s.imm;
                 pending = Some(dest);
             }
             opc::JAL => {
-                sink.fetch(pc, s.len1);
+                sink.fetch(pc, s.len);
                 m.gpr[slot!(s.a)] = s.aux;
                 pending = Some(s.imm);
             }
-            opc::NOP => sink.fetch(pc, s.len1),
-            opc::ADD_RI_MV => ri_mv!(AluOp::Add),
-            opc::SUB_RI_MV => ri_mv!(AluOp::Sub),
-            opc::AND_RI_MV => ri_mv!(AluOp::And),
-            opc::OR_RI_MV => ri_mv!(AluOp::Or),
-            opc::XOR_RI_MV => ri_mv!(AluOp::Xor),
-            opc::SHL_RI_MV => ri_mv!(AluOp::Shl),
-            opc::SHR_RI_MV => ri_mv!(AluOp::Shr),
-            opc::SHRA_RI_MV => ri_mv!(AluOp::Shra),
-            opc::ADD_MV_RI => mv_ri!(AluOp::Add),
-            opc::SUB_MV_RI => mv_ri!(AluOp::Sub),
-            opc::AND_MV_RI => mv_ri!(AluOp::And),
-            opc::OR_MV_RI => mv_ri!(AluOp::Or),
-            opc::XOR_MV_RI => mv_ri!(AluOp::Xor),
-            opc::SHL_MV_RI => mv_ri!(AluOp::Shl),
-            opc::SHR_MV_RI => mv_ri!(AluOp::Shr),
-            opc::SHRA_MV_RI => mv_ri!(AluOp::Shra),
-            opc::ADD_RR_MV => rr_mv!(AluOp::Add),
-            opc::SUB_RR_MV => rr_mv!(AluOp::Sub),
-            opc::AND_RR_MV => rr_mv!(AluOp::And),
-            opc::OR_RR_MV => rr_mv!(AluOp::Or),
-            opc::XOR_RR_MV => rr_mv!(AluOp::Xor),
-            opc::SHL_RR_MV => rr_mv!(AluOp::Shl),
-            opc::SHR_RR_MV => rr_mv!(AluOp::Shr),
-            opc::SHRA_RR_MV => rr_mv!(AluOp::Shra),
-            opc::ADD_MV_RR => mv_rr!(AluOp::Add),
-            opc::SUB_MV_RR => mv_rr!(AluOp::Sub),
-            opc::AND_MV_RR => mv_rr!(AluOp::And),
-            opc::OR_MV_RR => mv_rr!(AluOp::Or),
-            opc::XOR_MV_RR => mv_rr!(AluOp::Xor),
-            opc::SHL_MV_RR => mv_rr!(AluOp::Shl),
-            opc::SHR_MV_RR => mv_rr!(AluOp::Shr),
-            opc::SHRA_MV_RR => mv_rr!(AluOp::Shra),
-            opc::ADD_RI_BR => ri_br!(AluOp::Add),
-            opc::SUB_RI_BR => ri_br!(AluOp::Sub),
-            opc::AND_RI_BR => ri_br!(AluOp::And),
-            opc::OR_RI_BR => ri_br!(AluOp::Or),
-            opc::XOR_RI_BR => ri_br!(AluOp::Xor),
-            opc::SHL_RI_BR => ri_br!(AluOp::Shl),
-            opc::SHR_RI_BR => ri_br!(AluOp::Shr),
-            opc::SHRA_RI_BR => ri_br!(AluOp::Shra),
-            opc::BR_NOP => {
-                sink.fetch(pc, s.len1);
-                pending = Some(s.imm);
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-            }
-            opc::BC_Z_NOP => {
-                sink.fetch(pc, s.len1);
-                if m.gpr[slot!(s.a)] == 0 {
-                    pending = Some(s.imm);
-                    taken += 1;
-                } else {
-                    pending = Some(s.aux);
-                    untaken += 1;
-                }
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-            }
-            opc::BC_NZ_NOP => {
-                sink.fetch(pc, s.len1);
-                if m.gpr[slot!(s.a)] != 0 {
-                    pending = Some(s.imm);
-                    taken += 1;
-                } else {
-                    pending = Some(s.aux);
-                    untaken += 1;
-                }
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-            }
-            opc::BR_MV => {
-                sink.fetch(pc, s.len1);
-                pending = Some(s.imm);
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                m.gpr[slot!(s.a)] = m.gpr[slot!(s.b)];
-            }
-            opc::MV_MV => {
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = m.gpr[slot!(s.b)];
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                m.gpr[slot!(s.c)] = m.gpr[slot!(s.aux)];
-            }
-            opc::MV_BC_NZ => {
-                sink.fetch(pc, s.len1);
-                m.gpr[slot!(s.a)] = m.gpr[slot!(s.b)];
-                pc += u32::from(s.len1);
-                sink.fetch(pc, s.tail);
-                if m.gpr[slot!(s.c)] != 0 {
-                    pending = Some(s.imm);
-                    taken += 1;
-                } else {
-                    pending = Some(s.aux);
-                    untaken += 1;
-                }
-            }
+            opc::NOP => sink.fetch(pc, s.len),
             code => unreachable!("invalid packed opcode {code}"),
         }
         if DYN {
@@ -935,8 +768,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             // ready time — the staleness the static path cannot see),
             // and resolved control transfers update the shared predictor
             // and charge the spec's misfetch bubbles. `pc` still points
-            // at this step: fused arms are the only ones that advance it
-            // mid-step and never occur in dynamic blocks.
+            // at this step.
             if stall > 0 {
                 ev += 1;
                 cyc += stall;
@@ -962,7 +794,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
         }
-        pc += u32::from(s.tail);
+        pc += u32::from(s.len);
     }
 
     // Whole-block completion: fold the block's static sums and dynamic
@@ -1066,11 +898,8 @@ fn bail(
     sink: &mut impl AccessSink,
 ) -> Result<(), SimError> {
     let Bail { i, d, pending, taken, untaken, events, cycles } = *why;
-    // `i` counts packed steps; fused steps retire two instructions, so
-    // every per-instruction prefix sum walks the step widths.
-    let n: u32 = b.steps[..i].iter().map(|s| block::step_width(s.code)).sum();
     let prefix = block::xtally(&b.steps[..i]);
-    apply_tally(m, u64::from(n), &prefix, taken, untaken);
+    apply_tally(m, i as u64, &prefix, taken, untaken);
     if dyn_mode {
         // The dynamic path already advanced the clock, ready times, and
         // predictor per retired step; only the prefix's stall counters
@@ -1094,44 +923,37 @@ fn bail(
         m.t += d + u64::from(b.steps[i - 1].cum);
     }
     // Fetch-unit settlement over the retired prefix, walking the real
-    // byte extents of every component instruction (two per fused step)
-    // with the interpreter's two-unit rule at the spec's fetch width: a
-    // transition to the instruction's first unit, then one more when its
-    // last byte straddles into the next unit. `last` tracks the final
-    // component for the fusion-state settlement below.
+    // byte extent of every instruction with the interpreter's two-unit
+    // rule at the spec's fetch width: a transition to the instruction's
+    // first unit, then one more when its last byte straddles into the
+    // next unit.
     let fmask = m.pspec.fetch_mask();
     let mut words = 0u64;
     let mut prev = m.last_fetch_word;
     let mut pc = b.start_pc;
-    let mut last: Option<(u32, u8)> = None;
     for s in &b.steps[..i] {
-        let segs = [s.len1, s.tail];
-        let lo = usize::from(block::unfuse(s.code).is_none());
-        for &seg in &segs[lo..] {
-            let w0 = pc & fmask;
-            if prev != Some(w0) {
-                words += 1;
-                prev = Some(w0);
-            }
-            let w1 = (pc + u32::from(seg) - 1) & fmask;
-            if prev != Some(w1) {
-                words += 1;
-                prev = Some(w1);
-            }
-            last = Some((pc, seg));
-            pc += u32::from(seg);
+        let w0 = pc & fmask;
+        if prev != Some(w0) {
+            words += 1;
+            prev = Some(w0);
         }
+        let w1 = (pc + u32::from(s.len) - 1) & fmask;
+        if prev != Some(w1) {
+            words += 1;
+            prev = Some(w1);
+        }
+        pc += u32::from(s.len);
     }
     m.stats.ifetch_words += words;
     m.tele.add(SimCounter::IfWords, words);
     m.last_fetch_word = prev;
     m.pending_target = pending;
     m.pc = pc;
-    if m.isa == Isa::D16x && n > 0 {
+    if m.isa == Isa::D16x && i > 0 {
         // Same settlement as block completion (the accumulator was
         // flushed before `bail`, so the counters take the hits directly):
         // the entry-edge pair, then internal pairs whose B-half retired
-        // (semantic index below `n`), then the carried state — the last
+        // (step index below `i`), then the carried state — the last
         // retired instruction's A-shape, reread from the decode array.
         if let (Some((epc, a)), Some((kind, reg))) = (m.fuse_prev, b.head_fuse) {
             if epc == b.start_pc && head_pair_hit(a, kind, reg) {
@@ -1148,7 +970,7 @@ fn bail(
             }
         }
         for &(bi, kind) in b.fuse_pairs.iter() {
-            if bi < n {
+            if (bi as usize) < i {
                 if kind == block::FUSE_CMP_BR {
                     m.stats.fused_cmp_br += 1;
                     m.tele.bump(SimCounter::FuseCmpBr);
@@ -1158,12 +980,12 @@ fn bail(
                 }
             }
         }
-        let (lpc, llen) = last.expect("n > 0 retired at least one component");
+        let lpc = pc - u32::from(b.steps[i - 1].len);
         let idx = ((lpc - m.text_base) / m.isa.insn_bytes()) as usize;
-        let (insn, _) = m.decoded[idx].expect("a retired component decoded");
-        m.fuse_prev = fuse_a_shape(&insn).map(|a| (lpc + u32::from(llen), a));
+        let (insn, _) = m.decoded[idx].expect("a retired instruction decoded");
+        m.fuse_prev = fuse_a_shape(&insn).map(|a| (pc, a));
     }
-    tele.add(EngineCounter::UopInsns, u64::from(n));
+    tele.add(EngineCounter::UopInsns, i as u64);
     let before = m.stats.insns;
     let r = m.step(sink);
     tele.add(EngineCounter::FallbackInsns, m.stats.insns - before);

@@ -849,7 +849,7 @@ v:      .word 5
 
     /// The block cache is keyed by the active pipeline spec: a cache
     /// built at one spec must be rebuilt — not reused — at another, or
-    /// its baked-in stall schedule and fusion decisions leak across.
+    /// its baked-in stall schedule and fetch-unit sums leak across.
     #[test]
     fn block_cache_is_keyed_by_pipeline_spec() {
         let src = "

@@ -118,7 +118,7 @@ fn fresh_run_matches_checked_in_bench_report() {
 /// the minimum is the stable estimator).
 ///
 /// The floor is a regression tripwire, not a benchmark claim: raw
-/// full-fuel runs measure 4.7-5.0x on the dev box (the issue's nominal
+/// full-fuel runs measure 4.9-6.0x on a 2-vCPU Xeon VM (a nominal
 /// "5x on the smoke collect" is not directly measurable — a smoke
 /// collect finishes in ~0 ms, all of it grid setup). 4x is the highest
 /// value that stays out of the shared-runner noise band while still

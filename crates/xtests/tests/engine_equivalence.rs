@@ -88,9 +88,9 @@ fn engines_agree_on_subset_across_all_targets() {
 /// The same equivalence at the most aggressive non-default pipeline
 /// configuration — depth 8 (longest load-use distance, largest misfetch
 /// penalty) with the two-bit predictor (history-dependent per-branch
-/// state). The BlockEngine lowers non-default specs through its dynamic
-/// flavor (fusion off, runtime stall scoreboard), so this pins a code
-/// path the default-spec tests above never execute.
+/// state). The BlockEngine runs non-default specs through its dynamic
+/// flavor (runtime stall scoreboard, per-step predictor updates), so this
+/// pins a code path the default-spec tests above never execute.
 #[test]
 fn engines_agree_at_depth_eight_with_twobit_predictor() {
     let deep = PipelineSpec { depth: 8, predictor: Predictor::TwoBit, ..PipelineSpec::default() };
@@ -111,7 +111,7 @@ fn engines_agree_at_depth_eight_with_twobit_predictor() {
 }
 
 #[test]
-#[ignore = "full 15x5 grid under both engines; run with --release -- --ignored (CI does)"]
+#[ignore = "full 15x6 grid under both engines; run with --release -- --ignored (CI does)"]
 fn engines_agree_on_every_cell() {
     for w in d16_workloads::SUITE.iter() {
         for spec in standard_specs() {

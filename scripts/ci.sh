@@ -110,9 +110,9 @@ gate_engine() {
     cmp "$tmp/out_x_blocks.txt" "$tmp/out_x_interp.txt"
     cmp "$tmp/m_x_blocks.json" "$tmp/m_x_interp.json"
     step "engine: non-default pipeline spec (depth 8, twobit, fetch 1) byte-identical across engines"
-    # Non-default specs run the BlockEngine's dynamic lowering (fusion
-    # off, runtime stall scoreboard) — a code path the default-spec
-    # comparisons above never reach.
+    # Non-default specs run the BlockEngine's dynamic-timing flavor
+    # (runtime stall scoreboard, per-step predictor updates) — a code
+    # path the default-spec comparisons above never reach.
     ./target/release/repro --only towers,queens --fig 5 \
         --pipeline-depth 8 --pipeline-predictor twobit --pipeline-fetch 1 \
         --engine blocks --metrics-json "$tmp/m_p_blocks.json" >"$tmp/out_p_blocks.txt"
@@ -121,6 +121,9 @@ gate_engine() {
         --engine interp --metrics-json "$tmp/m_p_interp.json" >"$tmp/out_p_interp.txt"
     cmp "$tmp/out_p_blocks.txt" "$tmp/out_p_interp.txt"
     cmp "$tmp/m_p_blocks.json" "$tmp/m_p_interp.json"
+    step "engine: full 15x6 suite grid, traces/stats/telemetry identical across engines"
+    cargo test --release --locked --offline -p d16-xtests --test engine_equivalence \
+        -- --ignored --exact engines_agree_on_every_cell
     step "engine: 4x best-of-3 speedup floor (block engine vs interpreter, in-process)"
     cargo test --release --locked --offline -p d16-xtests --test bench_drift \
         -- --ignored --exact block_engine_speedup_floor
