@@ -417,8 +417,8 @@ fn main() {
     if let Some(s) = &store {
         let st = s.stats();
         eprintln!(
-            "store: {} hits, {} misses, {} writes, {} corrupt evicted",
-            st.hit, st.miss, st.write, st.corrupt_evicted
+            "store: {} hits, {} misses, {} writes, {} corrupt evicted, {} stale evicted",
+            st.hit, st.miss, st.write, st.corrupt_evicted, st.stale_evicted
         );
         if st.io_errors > 0 {
             eprintln!("store: {} I/O errors (degraded to recomputation)", st.io_errors);
@@ -495,6 +495,7 @@ fn main() {
                     .with("miss", st.miss)
                     .with("write", st.write)
                     .with("corrupt_evicted", st.corrupt_evicted)
+                    .with("stale_evicted", st.stale_evicted)
                     .with("io_errors", st.io_errors)
                     .with("lock_contention", st.lock_contention)
             })

@@ -193,23 +193,39 @@ impl Table4 {
 
 /// Table 4's observer in [`Plan::run`]: counts the fetches of each text
 /// word of a `DLXe/16/2` image, then sums the counts by the D16 field
-/// each word's immediate overflows. A fetch is one add to its own word's
-/// counter: no branch on the class, and no store that the next fetch
-/// must wait for, as a shared per-class counter would have.
+/// each word's immediate overflows. The counts are kept as a difference
+/// array over text words, prefix-summed by [`ImmClassifier::classes`]:
+/// a fetch adds one at its word and takes one off after it, and a run of
+/// fixed 4-byte fetches, which fetches each word from its first to its
+/// last once, does the same at its two ends. No fetch branches on the
+/// class, as a shared per-class counter would have.
 pub(crate) struct ImmClassifier {
     text_base: u32,
-    fetches: Vec<u64>,
+    delta: Vec<u64>,
 }
 
 impl ImmClassifier {
     pub(crate) fn new(image: &Image) -> Self {
-        ImmClassifier { text_base: image.text_base, fetches: vec![0; image.text.len() / 4] }
+        ImmClassifier { text_base: image.text_base, delta: vec![0; image.text.len() / 4 + 1] }
+    }
+
+    /// Counts one fetch of each text word from `first` to `last`.
+    #[inline]
+    fn span(&mut self, first: u32, last: u32) {
+        let word = |addr: u32| (addr.wrapping_sub(self.text_base) / 4) as usize;
+        let (w0, w1) = (word(first), word(last));
+        if w0 <= w1 && w1 + 1 < self.delta.len() {
+            self.delta[w0] = self.delta[w0].wrapping_add(1);
+            self.delta[w1 + 1] = self.delta[w1 + 1].wrapping_sub(1);
+        }
     }
 
     /// The fetch counts summed by class, each text word classified once.
     pub(crate) fn classes(&self, image: &Image) -> ImmClasses {
         let mut counts = ImmClasses::default();
-        for (c, &n) in image.text.chunks_exact(4).zip(&self.fetches) {
+        let mut n = 0u64;
+        for (c, &d) in image.text.chunks_exact(4).zip(&self.delta) {
+            n = n.wrapping_add(d);
             let word = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
             let insn = d16_isa::dlxe::decode(word).ok();
             match insn.as_ref().and_then(EncodingParams::d16_overflow_class) {
@@ -224,17 +240,34 @@ impl ImmClassifier {
 }
 
 impl AccessSink for ImmClassifier {
+    const FETCH_RUNS: bool = true;
     #[inline]
     fn fetch(&mut self, addr: u32, _bytes: u8) {
-        let word = (addr.wrapping_sub(self.text_base) / 4) as usize;
-        if let Some(n) = self.fetches.get_mut(word) {
-            *n += 1;
-        }
+        self.span(addr, addr);
     }
     #[inline]
     fn read(&mut self, _addr: u32, _bytes: u8) {}
     #[inline]
     fn write(&mut self, _addr: u32, _bytes: u8) {}
+    /// One span for a run of 4-byte fetches, which is every run on a
+    /// DLXe image; any other run is counted fetch by fetch.
+    #[inline]
+    fn fetch_run(
+        &mut self,
+        first: u32,
+        last: u32,
+        widths: impl ExactSizeIterator<Item = u8> + Clone,
+    ) {
+        if last - first == 4 * (widths.len() as u32 - 1) {
+            self.span(first, last);
+        } else {
+            let mut addr = first;
+            for w in widths {
+                self.fetch(addr, w);
+                addr += u32::from(w);
+            }
+        }
+    }
 }
 
 /// The machine Table 4 classifies on: `DLXe/16/2`, whose immediates and
@@ -1043,4 +1076,47 @@ pub fn d16x_third_curve(suite: &Suite) -> Vec<D16xRow> {
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::Source;
+    use d16_testkit::cases;
+
+    /// Random fetch runs over a real `DLXe/16/2` image counted as runs
+    /// and fetch by fetch: fixed 4-byte runs (DLXe's) and mixed 2- and
+    /// 4-byte runs (D16x's) give the same classes either way.
+    #[test]
+    fn fetch_runs_count_like_their_fetches() {
+        let w = d16_workloads::by_name("towers").unwrap();
+        let plan = Plan { source: Source::Workload(w), target: table4_target(), ..Plan::default() };
+        let image = plan.build().unwrap();
+        let words = image.text.len() as u32 / 4;
+        cases(100, |case, rng| {
+            let (mut by_run, mut by_fetch) =
+                (ImmClassifier::new(&image), ImmClassifier::new(&image));
+            let widths: &[u8] = rng.pick::<&[u8]>(&[&[4u8][..], &[2, 4][..]]);
+            for _ in 0..1 + rng.below(50) {
+                let n = 1 + rng.below(30);
+                let ws: Vec<u8> = (0..n).map(|_| *rng.pick(widths)).collect();
+                let step = u32::from(widths[0]);
+                let first = image.text_base + step * rng.below(words * 4 / step - 2 * n);
+                let mut addr = first;
+                for &w in &ws[..ws.len() - 1] {
+                    by_fetch.fetch(addr, w);
+                    addr += u32::from(w);
+                }
+                by_fetch.fetch(addr, ws[ws.len() - 1]);
+                by_run.fetch_run(first, addr, ws.iter().copied());
+            }
+            assert_eq!(by_run.classes(&image), by_fetch.classes(&image), "case {case}");
+        });
+        // The fetch-by-fetch counts are the run-free definition.
+        let m = plan.measure().unwrap();
+        let mut machine = Machine::load(&image);
+        let mut interp = ImmClassifier::new(&image);
+        machine.run(crate::measure::FUEL, &mut interp).unwrap();
+        assert_eq!(m.imm, Some(interp.classes(&image)));
+    }
 }

@@ -167,6 +167,34 @@ mod tests {
         }
     }
 
+    /// `Cycles = IC + Interlocks + l * (IRequests + DRequests)`, with one
+    /// data request per load or store.
+    #[test]
+    fn cycle_formula_matches_paper() {
+        let mut fb = d16_mem::FetchBuffer::new(4);
+        for addr in [0, 2, 4, 6] {
+            d16_sim::AccessSink::fetch(&mut fb, addr, 2);
+        }
+        let stats = d16_sim::ExecStats { insns: 4, interlocks: 1, loads: 1, ..Default::default() };
+        let m = crate::Measurement {
+            workload: "inline",
+            target: TargetSpec::d16().label(),
+            exit: 0,
+            size_bytes: 8,
+            text_bytes: 8,
+            stats,
+            ireq_bus32: fb.irequests,
+            ireq_bus64: 1,
+            tele: d16_telemetry::Counters::new(&d16_sim::SIM_SCHEMA),
+            grid: None,
+            imm: None,
+        };
+        assert_eq!(m.requests(4), 3);
+        assert_eq!(m.cacheless_cycles(4, 0), 5);
+        assert_eq!(m.cacheless_cycles(4, 2), 11);
+        assert_eq!(m.cacheless_cycles(8, 2), 9);
+    }
+
     /// The observers see one fetch per instruction and one read or write
     /// per memory op: a trace recorded from a separate run of the same
     /// image agrees with the measured cell's statistics.

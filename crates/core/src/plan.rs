@@ -247,7 +247,9 @@ impl Plan<'_> {
 /// bus models plus the cache grid and the Table 4 classifier (each a
 /// `NullSink` when absent), statically dispatched. A `dyn` fan-out here
 /// would put an indirect call on every access, and the block engine has
-/// removed the decode overhead that used to hide it.
+/// removed the decode overhead that used to hide it. The stack takes the
+/// block engine's fetch runs when both observer slots do, as every
+/// observer set [`Plan::run`] builds does.
 struct MeasureSink<G, T> {
     fb32: FetchBuffer,
     fb64: FetchBuffer,
@@ -256,6 +258,7 @@ struct MeasureSink<G, T> {
 }
 
 impl<G: AccessSink, T: AccessSink> AccessSink for MeasureSink<G, T> {
+    const FETCH_RUNS: bool = G::FETCH_RUNS && T::FETCH_RUNS;
     #[inline]
     fn fetch(&mut self, addr: u32, bytes: u8) {
         self.fb32.fetch(addr, bytes);
@@ -276,6 +279,18 @@ impl<G: AccessSink, T: AccessSink> AccessSink for MeasureSink<G, T> {
         self.fb64.write(addr, bytes);
         self.grid.write(addr, bytes);
         self.imm.write(addr, bytes);
+    }
+    #[inline]
+    fn fetch_run(
+        &mut self,
+        first: u32,
+        last: u32,
+        widths: impl ExactSizeIterator<Item = u8> + Clone,
+    ) {
+        self.fb32.fetch_run(first, last, widths.clone());
+        self.fb64.fetch_run(first, last, widths.clone());
+        self.grid.fetch_run(first, last, widths.clone());
+        self.imm.fetch_run(first, last, widths);
     }
 }
 

@@ -192,6 +192,8 @@ impl CacheBank {
 }
 
 impl AccessSink for CacheBank {
+    const FETCH_RUNS: bool = true;
+
     fn fetch(&mut self, addr: u32, _bytes: u8) {
         self.tele.bump(BankCounter::Fetches);
         if self.fetches.push(addr, false) {
@@ -212,11 +214,59 @@ impl AccessSink for CacheBank {
             self.drain_data();
         }
     }
+
+    /// Walks the run's granules instead of its fetches: the first fetch
+    /// goes through the repeat filter, the first fetch of each later
+    /// granule is queued, and every other fetch is a repeat. A granule
+    /// of at least 4 bytes (the longest instruction) holds a fetch for
+    /// every granule from the run's first to its last, since consecutive
+    /// fetches are never a whole granule apart; and the members see only
+    /// the granule of a queued address, so its base stands in for the
+    /// fetch. With a narrower granule (an empty bank has none) the run
+    /// is replayed fetch by fetch.
+    fn fetch_run(
+        &mut self,
+        first: u32,
+        last: u32,
+        widths: impl ExactSizeIterator<Item = u8> + Clone,
+    ) {
+        let shift = self.fetches.shift;
+        if shift < 2 {
+            let mut addr = first;
+            for w in widths {
+                self.fetch(addr, w);
+                addr += u32::from(w);
+            }
+            return;
+        }
+        let n = widths.len() as u64;
+        self.tele.add(BankCounter::Fetches, n);
+        let (g0, g1) = (first >> shift, last >> shift);
+        if self.fetches.push(first, false) {
+            self.drain_fetches();
+        }
+        for g in g0 + 1..=g1 {
+            if self.fetches.push(g << shift, false) {
+                self.drain_fetches();
+            }
+        }
+        self.fetches.pending += n - 1 - u64::from(g1 - g0);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d16_sim::Access;
+    use d16_testkit::{cases, Rng};
+
+    fn feed(s: &mut impl AccessSink, a: Access) {
+        match a {
+            Access::Fetch(addr, b) => s.fetch(addr, b),
+            Access::Read(addr, b) => s.read(addr, b),
+            Access::Write(addr, b) => s.write(addr, b),
+        }
+    }
 
     #[test]
     fn bank_members_match_dedicated_systems() {
@@ -290,19 +340,19 @@ mod tests {
         let mut bank = CacheBank::symmetric(&cfgs).unwrap();
         let mut solo: Vec<CacheSystem> =
             cfgs.iter().map(|c| CacheSystem::new(*c, *c).unwrap()).collect();
-        let mut both = |f: &dyn Fn(&mut dyn AccessSink)| {
-            f(&mut bank);
-            solo.iter_mut().for_each(|s| f(s));
+        let mut both = |a: Access| {
+            feed(&mut bank, a);
+            solo.iter_mut().for_each(|s| feed(s, a));
         };
         // A cold fetch miss, then three fetches in the same granule.
-        both(&|s| s.fetch(0x100, 2));
-        both(&|s| s.fetch(0x102, 2));
-        both(&|s| s.fetch(0x100, 2));
-        both(&|s| s.fetch(0x102, 2));
+        both(Access::Fetch(0x100, 2));
+        both(Access::Fetch(0x102, 2));
+        both(Access::Fetch(0x100, 2));
+        both(Access::Fetch(0x102, 2));
         // A write miss, then two reads of the word it validated.
-        both(&|s| s.write(0x2000, 4));
-        both(&|s| s.read(0x2000, 4));
-        both(&|s| s.read(0x2002, 2));
+        both(Access::Write(0x2000, 4));
+        both(Access::Read(0x2000, 4));
+        both(Access::Read(0x2002, 2));
 
         // Read right away: nothing to call first.
         if d16_telemetry::ENABLED {
@@ -332,6 +382,73 @@ mod tests {
         }
         let members: Vec<_> = banked.counters().filter(|(k, _)| k.contains(".cfg.")).collect();
         assert_eq!(members, dedicated.counters().collect::<Vec<_>>());
+    }
+
+    /// A geometry with a 4- to 64-byte sub-block, so bank granules vary.
+    fn config(rng: &mut Rng) -> CacheConfig {
+        let block_log = 3 + rng.below(4);
+        CacheConfig {
+            size: 1024 << rng.below(3),
+            block: 1 << block_log,
+            sub_block: 4 << rng.below(block_log - 1),
+            assoc: 1 << rng.below(2),
+            wrap_prefetch: rng.bool(),
+        }
+    }
+
+    #[test]
+    fn fetch_runs_match_fetch_by_fetch() {
+        cases(60, |case, rng| {
+            let cfgs: Vec<CacheConfig> = (0..rng.below(4)).map(|_| config(rng)).collect();
+            let mut by_run = CacheBank::symmetric(&cfgs).unwrap();
+            let mut by_fetch = by_run.clone();
+            let widths: &[u8] = rng.pick::<&[u8]>(&[&[2u8][..], &[4][..], &[2, 4][..]]);
+            let mut pc = 0x1000 + 2 * rng.below(64);
+            for _ in 0..1 + rng.below(40) {
+                // Some runs are long enough to fill the 1024-entry queue
+                // on their own; all of them together cross it repeatedly.
+                let n = if rng.below(8) == 0 { 1100 + rng.below(900) } else { 1 + rng.below(60) };
+                let ws: Vec<u8> = (0..n).map(|_| *rng.pick(widths)).collect();
+                let mut addr = pc;
+                for &w in &ws[..ws.len() - 1] {
+                    by_fetch.fetch(addr, w);
+                    addr += u32::from(w);
+                }
+                by_fetch.fetch(addr, ws[ws.len() - 1]);
+                by_run.fetch_run(pc, addr, ws.iter().copied());
+                // Data traffic between runs, and the next run starts in
+                // the same granule, just after, or elsewhere.
+                for _ in 0..rng.below(6) {
+                    let a = Access::Read(0x8000 + 4 * rng.below(256), 4);
+                    let a = if rng.bool() { a } else { Access::Write(a.addr(), 4) };
+                    feed(&mut by_run, a);
+                    feed(&mut by_fetch, a);
+                }
+                pc = match rng.below(3) {
+                    0 => addr & !7,
+                    1 => addr + u32::from(ws[ws.len() - 1]),
+                    _ => 0x1000 + 2 * rng.below(8192),
+                };
+            }
+            if d16_telemetry::ENABLED {
+                let v = |b: &CacheBank| b.telemetry().values().to_vec();
+                assert_eq!(v(&by_run), v(&by_fetch), "case {case}: sweep counters");
+            }
+            let (a, b) = (by_run.into_systems(), by_fetch.into_systems());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.icache(), y.icache(), "case {case}: {}", x.label());
+                assert_eq!(x.dcache(), y.dcache(), "case {case}: {}", x.label());
+                let (mut rx, mut ry) = (Registry::new(), Registry::new());
+                x.export_telemetry(&mut rx, "c");
+                y.export_telemetry(&mut ry, "c");
+                assert_eq!(
+                    rx.counters().collect::<Vec<_>>(),
+                    ry.counters().collect::<Vec<_>>(),
+                    "case {case}: {} telemetry",
+                    x.label()
+                );
+            }
+        });
     }
 
     #[test]

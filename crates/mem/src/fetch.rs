@@ -11,20 +11,18 @@
 //! Cycles = IC + Interlocks + Latency * (IRequests + DRequests)
 //! ```
 
-use d16_sim::{AccessSink, ExecStats};
+use d16_sim::AccessSink;
 
-/// Counts external memory requests made through a fetch buffer of
-/// `bus_bytes` and a flat data port (every load/store is one request).
+/// Counts the instruction-fetch requests a fetch buffer of `bus_bytes`
+/// makes to memory. Data requests are one per load or store, which the
+/// pipeline already counts, so reads and writes are ignored here;
+/// `Measurement::cacheless_cycles` in `d16-core` applies the formula.
 #[derive(Copy, Clone, Debug)]
 pub struct FetchBuffer {
     bus_bytes: u32,
     buffered: Option<u32>,
     /// Instruction fetch requests issued to memory.
     pub irequests: u64,
-    /// Data requests (loads + stores).
-    pub drequests: u64,
-    /// Instructions delivered (for saturation measures).
-    pub instructions: u64,
 }
 
 impl FetchBuffer {
@@ -36,35 +34,15 @@ impl FetchBuffer {
     /// Panics unless `bus_bytes` is a power of two of at least 2.
     pub fn new(bus_bytes: u32) -> Self {
         assert!(bus_bytes.is_power_of_two() && bus_bytes >= 2, "bad bus width {bus_bytes}");
-        FetchBuffer { bus_bytes, buffered: None, irequests: 0, drequests: 0, instructions: 0 }
-    }
-
-    /// The bus width in bytes.
-    pub fn bus_bytes(&self) -> u32 {
-        self.bus_bytes
-    }
-
-    /// Total external requests.
-    pub fn requests(&self) -> u64 {
-        self.irequests + self.drequests
-    }
-
-    /// Total cycles for a run with the given per-request wait states,
-    /// using the paper's formula.
-    pub fn cycles(&self, stats: &ExecStats, wait_states: u64) -> u64 {
-        stats.base_cycles() + wait_states * self.requests()
-    }
-
-    /// Instruction-fetch bus saturation in requests per cycle (Figure 15).
-    pub fn fetch_saturation(&self, stats: &ExecStats, wait_states: u64) -> f64 {
-        self.irequests as f64 / self.cycles(stats, wait_states) as f64
+        FetchBuffer { bus_bytes, buffered: None, irequests: 0 }
     }
 }
 
 impl AccessSink for FetchBuffer {
+    const FETCH_RUNS: bool = true;
+
     #[inline]
     fn fetch(&mut self, addr: u32, _bytes: u8) {
-        self.instructions += 1;
         let block = addr & !(self.bus_bytes - 1);
         if self.buffered != Some(block) {
             self.irequests += 1;
@@ -73,19 +51,37 @@ impl AccessSink for FetchBuffer {
     }
 
     #[inline]
-    fn read(&mut self, _addr: u32, _bytes: u8) {
-        self.drequests += 1;
-    }
+    fn read(&mut self, _addr: u32, _bytes: u8) {}
 
     #[inline]
-    fn write(&mut self, _addr: u32, _bytes: u8) {
-        self.drequests += 1;
+    fn write(&mut self, _addr: u32, _bytes: u8) {}
+
+    /// A run makes one request on entry unless its first bus word is the
+    /// buffered one, then one per bus word it moves into. On a bus at
+    /// least as wide as the longest instruction, consecutive fetches
+    /// are never a whole word apart, so the run visits every word from
+    /// its first to its last; on the 2-byte bus every fetch is a word of
+    /// its own.
+    #[inline]
+    fn fetch_run(
+        &mut self,
+        first: u32,
+        last: u32,
+        widths: impl ExactSizeIterator<Item = u8> + Clone,
+    ) {
+        let mask = !(self.bus_bytes - 1);
+        let (w0, w1) = (first & mask, last & mask);
+        let moves =
+            if self.bus_bytes >= 4 { (w1 - w0) / self.bus_bytes } else { widths.len() as u32 - 1 };
+        self.irequests += u64::from(self.buffered != Some(w0)) + u64::from(moves);
+        self.buffered = Some(w1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d16_testkit::{cases, Rng};
 
     fn feed(buf: &mut FetchBuffer, addrs: &[u32]) {
         for &a in addrs {
@@ -130,25 +126,53 @@ mod tests {
     }
 
     #[test]
-    fn data_requests_count_flat() {
+    fn data_accesses_leave_the_buffer_alone() {
         let mut b = FetchBuffer::new(4);
+        b.fetch(0x1000, 2);
         b.read(0x2000, 4);
-        b.write(0x2000, 4);
-        b.read(0x2000, 1);
-        assert_eq!(b.drequests, 3);
+        b.write(0x3000, 4);
+        b.fetch(0x1002, 2);
+        assert_eq!(b.irequests, 1, "loads and stores neither request nor evict");
+    }
+
+    /// A run of random 2- and 4-byte (D16x) or fixed-width fetches
+    /// starting at a random 2-aligned address near `near`.
+    fn run(rng: &mut Rng, near: u32, widths: &[u8]) -> (u32, Vec<u8>) {
+        let first = near + 2 * rng.below(8);
+        let n = 1 + rng.below(40) as usize;
+        (first, (0..n).map(|_| *rng.pick(widths)).collect())
+    }
+
+    /// The last fetch address of the run `(first, widths)`.
+    fn last(first: u32, widths: &[u8]) -> u32 {
+        first + widths[..widths.len() - 1].iter().map(|&w| u32::from(w)).sum::<u32>()
     }
 
     #[test]
-    fn cycle_formula_matches_paper() {
-        let mut b = FetchBuffer::new(4);
-        feed(&mut b, &[0, 2, 4, 6]);
-        b.read(0x2000, 4);
-        let stats = ExecStats { insns: 4, interlocks: 1, loads: 1, ..Default::default() };
-        // Cycles = IC + Interlocks + l * (IReq + DReq) = 5 + l*3.
-        assert_eq!(b.cycles(&stats, 0), 5);
-        assert_eq!(b.cycles(&stats, 2), 11);
-        let sat = b.fetch_saturation(&stats, 2);
-        assert!((sat - 2.0 / 11.0).abs() < 1e-12);
+    fn fetch_runs_count_like_their_fetches() {
+        cases(300, |case, rng| {
+            let bus = 2u32 << rng.below(3); // 2, 4 or 8 bytes
+            let widths: &[u8] = rng.pick::<&[u8]>(&[&[2u8][..], &[4][..], &[2, 4][..]]);
+            let (mut by_run, mut by_fetch) = (FetchBuffer::new(bus), FetchBuffer::new(bus));
+            // Runs that start inside the buffered word, right after it,
+            // or somewhere else entirely.
+            let mut near = 0x1000;
+            for _ in 0..1 + rng.below(12) {
+                let (first, ws) = run(rng, near, widths);
+                by_run.fetch_run(first, last(first, &ws), ws.iter().copied());
+                let mut a = first;
+                for &w in &ws {
+                    by_fetch.fetch(a, w);
+                    a += u32::from(w);
+                }
+                assert_eq!(by_run.irequests, by_fetch.irequests, "case {case}, bus {bus}");
+                near = match rng.below(3) {
+                    0 => last(first, &ws) & !(bus - 1),
+                    1 => a,
+                    _ => 0x1000 + 2 * rng.below(4096),
+                };
+            }
+        });
     }
 
     #[test]

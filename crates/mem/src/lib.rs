@@ -2,9 +2,11 @@
 //!
 //! The two memory interfaces evaluated in Section 4 of the paper:
 //!
-//! * [`FetchBuffer`] — the cacheless machine: a `k`-instruction fetch
-//!   buffer over a 32- or 64-bit bus and a flat `l`-wait-state memory
-//!   (Figures 14–15, Tables 11–12).
+//! * [`FetchBuffer`] — the cacheless machine's instruction bus: the
+//!   fetch requests a `k`-instruction fetch buffer over a 32- or 64-bit
+//!   bus makes (Figures 14–15, Tables 11–12). Data requests are one per
+//!   load or store, and `d16-core`'s `Measurement::cacheless_cycles`
+//!   turns both into cycles at `l` wait states.
 //! * [`Cache`] / [`CacheSystem`] — dinero-equivalent sub-blocked caches
 //!   with wrap-around prefetch, split I/D (Figures 16–19, Tables 13–16).
 //! * [`CacheBank`] — a single-pass multi-configuration evaluator: one
@@ -14,7 +16,10 @@
 //!
 //! All of them consume the access stream of `d16-sim`'s pipeline via the
 //! [`d16_sim::AccessSink`] trait, so one functional run can drive any
-//! number of memory-system configurations through a recorded trace.
+//! number of memory-system configurations, directly or through a
+//! recorded trace. [`FetchBuffer`] and [`CacheBank`] take the block
+//! engine's fetch runs ([`d16_sim::AccessSink::fetch_run`]): a completed
+//! block's fetches in one call, accounted from the run's ends and length.
 //!
 //! ```
 //! use d16_mem::{CacheSystem, FetchBuffer};

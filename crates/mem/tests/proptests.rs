@@ -118,7 +118,6 @@ fn fetch_buffer_conservation() {
         for i in 0..n {
             fb.fetch(0x1000 + i * 2, 2);
         }
-        assert_eq!(fb.instructions, u64::from(n), "case {case}");
         assert!(fb.irequests <= u64::from(n), "case {case}");
         let k = bus / 2;
         let expected = n.div_ceil(k);

@@ -8,7 +8,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Cache and fetch-buffer models implement this to measure traffic and miss
 /// rates without re-running the functional simulation; [`TraceRecorder`]
 /// implements it to capture a replayable trace.
+///
+/// # Fetch runs
+///
+/// A sink that sets [`AccessSink::FETCH_RUNS`] takes the fetches of each
+/// block the block engine runs to completion in one
+/// [`AccessSink::fetch_run`] call, made after the block's reads and
+/// writes. Opting in promises that the sink's fetch accounting does not
+/// depend on where fetches fall among reads and writes; the fetches
+/// themselves still arrive in program order, and every fetch outside a
+/// completed block (interpreter steps, the retired prefix of a block that
+/// faults) still arrives through [`AccessSink::fetch`]. A sink that does
+/// not opt in sees every reference one call at a time, interleaved
+/// exactly as the program made them.
 pub trait AccessSink {
+    /// Whether the block engine may hand this sink a completed block's
+    /// fetches as one [`AccessSink::fetch_run`] (see the trait docs).
+    const FETCH_RUNS: bool = false;
     /// An instruction fetch of `bytes` bytes at `addr` (2 for D16, 4 for
     /// DLXe).
     fn fetch(&mut self, addr: u32, bytes: u8);
@@ -16,6 +32,29 @@ pub trait AccessSink {
     fn read(&mut self, addr: u32, bytes: u8);
     /// A data write of `bytes` bytes at `addr`.
     fn write(&mut self, addr: u32, bytes: u8);
+    /// A straight-line run of fetches: the first at `first`, each next
+    /// one where the previous instruction ends, the last at `last`.
+    /// `widths` yields each fetch's width (2 or 4 bytes) in order, and its
+    /// length is the number of fetches (at least one). Only called on
+    /// sinks that set [`AccessSink::FETCH_RUNS`].
+    ///
+    /// The default replays the run through [`AccessSink::fetch`]; a sink
+    /// overrides it when it can account a run from its ends and its
+    /// length alone.
+    #[inline]
+    fn fetch_run(
+        &mut self,
+        first: u32,
+        last: u32,
+        widths: impl ExactSizeIterator<Item = u8> + Clone,
+    ) {
+        let _ = last;
+        let mut addr = first;
+        for w in widths {
+            self.fetch(addr, w);
+            addr += u32::from(w);
+        }
+    }
 }
 
 /// Discards all events; used when only [`crate::ExecStats`] are wanted.
@@ -23,12 +62,15 @@ pub trait AccessSink {
 pub struct NullSink;
 
 impl AccessSink for NullSink {
+    const FETCH_RUNS: bool = true;
     #[inline]
     fn fetch(&mut self, _addr: u32, _bytes: u8) {}
     #[inline]
     fn read(&mut self, _addr: u32, _bytes: u8) {}
     #[inline]
     fn write(&mut self, _addr: u32, _bytes: u8) {}
+    #[inline]
+    fn fetch_run(&mut self, _: u32, _: u32, _: impl ExactSizeIterator<Item = u8> + Clone) {}
 }
 
 /// Order-sensitive FNV-1a digest of the access stream — kind, address,

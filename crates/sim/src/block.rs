@@ -486,6 +486,9 @@ fn head_shape(insn: &Insn) -> Option<(u8, u8)> {
 pub(crate) struct Block {
     /// PC of the first instruction.
     pub start_pc: u32,
+    /// PC of the last instruction: with `start_pc` and the step widths,
+    /// the block's fetch run ([`crate::AccessSink::fetch_run`]).
+    pub last_pc: u32,
     /// The packed micro-ops, in program order: one per instruction.
     pub steps: Box<[XStep]>,
     pub exit: BlockExit,
@@ -815,6 +818,7 @@ pub(crate) fn lower_block(m: &Machine, start_pc: u32) -> Option<Block> {
     let fmask = m.pspec.fetch_mask();
     let mut b = Block {
         start_pc,
+        last_pc: metas[metas.len() - 1].0,
         exit,
         first_srcs: uop_srcs(&steps[0].uop),
         totals: tally(&steps),

@@ -17,6 +17,10 @@
 //! observational identity: the same [`crate::Access`] stream bytes, the
 //! same [`crate::ExecStats`] and [`crate::SIM_SCHEMA`] telemetry, the
 //! same [`SimError`] at the same instruction, the same [`StopReason`].
+//! A sink that takes fetch runs ([`AccessSink::FETCH_RUNS`]) gets each
+//! completed block's fetches in one [`AccessSink::fetch_run`] call after
+//! the block's reads and writes, so for it the fetch stream and the data
+//! stream are each the interpreter's, in order, but not interleaved.
 //!
 //! Two accounting techniques make the fast path fast while preserving
 //! that identity (counter *values* are compared, not bump order):
@@ -557,35 +561,44 @@ fn exec_block<const DYN: bool, S: AccessSink>(
         let taken_before = taken;
         // The arm bodies, shared across the opcode groups. Defined inside
         // the loop so `m`/`s`/`pc`/`sink` are in scope at the definition
-        // site (macro hygiene resolves them there).
+        // site (macro hygiene resolves them there). A sink that takes
+        // fetch runs gets the whole block's fetches at completion
+        // instead of one call per step.
+        macro_rules! fetch {
+            () => {
+                if !S::FETCH_RUNS {
+                    sink.fetch(pc, s.len);
+                }
+            };
+        }
         macro_rules! rr {
             ($op:expr) => {{
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], m.gpr[slot!(s.c)]);
             }};
         }
         macro_rules! ri {
             ($op:expr) => {{
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)], s.imm);
             }};
         }
         macro_rules! cmp_rr {
             ($cond:expr) => {{
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] =
                     if $cond.eval(m.gpr[slot!(s.b)], m.gpr[slot!(s.c)]) { u32::MAX } else { 0 };
             }};
         }
         macro_rules! cmp_ri {
             ($cond:expr) => {{
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] = if $cond.eval(m.gpr[slot!(s.b)], s.imm) { u32::MAX } else { 0 };
             }};
         }
         macro_rules! un {
             ($op:expr) => {{
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] = $op.eval(m.gpr[slot!(s.b)]);
             }};
         }
@@ -602,7 +615,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 if ea as u64 + $bl > m.mem.len() as u64 || ea & ($bl as u32 - 1) != 0 {
                     return Err(Bail { i, d, pending, taken, untaken, events: ev, cycles: cyc });
                 }
-                sink.fetch(pc, s.len);
+                fetch!();
                 sink.read(ea, $bl as u8);
                 let $a = ea as usize;
                 m.gpr[slot!(s.a)] = $val;
@@ -621,7 +634,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 {
                     return Err(Bail { i, d, pending, taken, untaken, events: ev, cycles: cyc });
                 }
-                sink.fetch(pc, s.len);
+                fetch!();
                 sink.write(ea, $bl as u8);
                 let $a = ea as usize;
                 let $v = m.gpr[slot!(s.a)];
@@ -672,7 +685,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             opc::INV => un!(UnOp::Inv),
             opc::MV => un!(UnOp::Mv),
             opc::MOVI => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] = s.imm;
             }
             opc::LD_B => ld!(1u64, a, m.mem[a] as i8 as i32 as u32),
@@ -684,7 +697,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             }
             opc::LD_ABS => {
                 // Pre-validated at lowering time: cannot fault.
-                sink.fetch(pc, s.len);
+                fetch!();
                 sink.read(s.imm, 4);
                 let a = s.imm as usize;
                 m.gpr[slot!(s.a)] =
@@ -698,11 +711,11 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             }
             opc::ST_W => st!(4u64, a, v, m.mem[a..a + 4].copy_from_slice(&v.to_le_bytes())),
             opc::BR => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 pending = Some(s.imm);
             }
             opc::BC_Z => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 if m.gpr[slot!(s.a)] == 0 {
                     pending = Some(s.imm);
                     taken += 1;
@@ -712,7 +725,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
             opc::BC_NZ => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 if m.gpr[slot!(s.a)] != 0 {
                     pending = Some(s.imm);
                     taken += 1;
@@ -722,11 +735,11 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
             opc::JR => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 pending = Some(m.gpr[slot!(s.a)]);
             }
             opc::JC_Z => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 if m.gpr[slot!(s.a)] == 0 {
                     pending = Some(m.gpr[slot!(s.b)]);
                     taken += 1;
@@ -736,7 +749,7 @@ fn exec_block<const DYN: bool, S: AccessSink>(
                 }
             }
             opc::JC_NZ => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 if m.gpr[slot!(s.a)] != 0 {
                     pending = Some(m.gpr[slot!(s.b)]);
                     taken += 1;
@@ -748,17 +761,17 @@ fn exec_block<const DYN: bool, S: AccessSink>(
             opc::JL => {
                 // Read the target before writing the link — they may be
                 // the same register (the interpreter reads first too).
-                sink.fetch(pc, s.len);
+                fetch!();
                 let dest = m.gpr[slot!(s.a)];
                 m.gpr[slot!(s.b)] = s.imm;
                 pending = Some(dest);
             }
             opc::JAL => {
-                sink.fetch(pc, s.len);
+                fetch!();
                 m.gpr[slot!(s.a)] = s.aux;
                 pending = Some(s.imm);
             }
-            opc::NOP => sink.fetch(pc, s.len),
+            opc::NOP => fetch!(),
             code => unreachable!("invalid packed opcode {code}"),
         }
         if DYN {
@@ -817,6 +830,9 @@ fn exec_block<const DYN: bool, S: AccessSink>(
     }
     acc.words += b.words_after_first + u64::from(m.last_fetch_word != Some(b.first_word));
     m.last_fetch_word = Some(b.last_word);
+    if S::FETCH_RUNS {
+        sink.fetch_run(b.start_pc, b.last_pc, b.steps.iter().map(|s| s.len));
+    }
     if m.isa == Isa::D16x {
         // Fusion settlement: the pair split across the block's entry edge
         // (the machine's carried A-half against the block's head shape),
@@ -889,13 +905,13 @@ fn apply_tally(m: &mut Machine, n: u64, tl: &block::Tally, taken: u64, untaken: 
 /// rediscovers it from the scoreboard and accounts it before faulting,
 /// exactly as the interpreter would.
 #[cold]
-fn bail(
+fn bail<S: AccessSink>(
     m: &mut Machine,
     b: &Block,
     why: &Bail,
     dyn_mode: bool,
     tele: &mut Counters,
-    sink: &mut impl AccessSink,
+    sink: &mut S,
 ) -> Result<(), SimError> {
     let Bail { i, d, pending, taken, untaken, events, cycles } = *why;
     let prefix = block::xtally(&b.steps[..i]);
@@ -926,12 +942,17 @@ fn bail(
     // byte extent of every instruction with the interpreter's two-unit
     // rule at the spec's fetch width: a transition to the instruction's
     // first unit, then one more when its last byte straddles into the
-    // next unit.
+    // next unit. A sink that takes fetch runs had no fetch from the
+    // prefix yet: it gets them here, one at a time, before the faulting
+    // instruction's own.
     let fmask = m.pspec.fetch_mask();
     let mut words = 0u64;
     let mut prev = m.last_fetch_word;
     let mut pc = b.start_pc;
     for s in &b.steps[..i] {
+        if S::FETCH_RUNS {
+            sink.fetch(pc, s.len);
+        }
         let w0 = pc & fmask;
         if prev != Some(w0) {
             words += 1;

@@ -413,10 +413,50 @@ v:      .word 3, 0
 
     // --- block engine: observational equivalence -----------------------
 
+    /// A sink that takes fetch runs: it checks each run's ends against
+    /// its widths, then records fetches and data references as two
+    /// traces, which must equal the interpreter's stream split the same
+    /// way.
+    #[derive(Default)]
+    struct SplitRecorder {
+        fetches: TraceRecorder,
+        data: TraceRecorder,
+    }
+
+    impl AccessSink for SplitRecorder {
+        const FETCH_RUNS: bool = true;
+        fn fetch(&mut self, addr: u32, bytes: u8) {
+            self.fetches.fetch(addr, bytes);
+        }
+        fn read(&mut self, addr: u32, bytes: u8) {
+            self.data.read(addr, bytes);
+        }
+        fn write(&mut self, addr: u32, bytes: u8) {
+            self.data.write(addr, bytes);
+        }
+        fn fetch_run(
+            &mut self,
+            first: u32,
+            last: u32,
+            widths: impl ExactSizeIterator<Item = u8> + Clone,
+        ) {
+            let ws: Vec<u8> = widths.collect();
+            let span: u32 = ws[..ws.len() - 1].iter().map(|&w| u32::from(w)).sum();
+            assert_eq!(first + span, last, "a run's last fetch follows from its widths");
+            let mut addr = first;
+            for w in ws {
+                self.fetch(addr, w);
+                addr += u32::from(w);
+            }
+        }
+    }
+
     /// Runs `src` under both engines with the same fuel and asserts every
     /// observable agrees: recorded trace bytes, statistics, telemetry,
-    /// console, halt state, and the stop reason or fault. Returns the
-    /// block-engine machine for further inspection.
+    /// console, halt state, and the stop reason or fault. The block
+    /// engine runs a second time into a sink that takes fetch runs, whose
+    /// fetch and data streams must each equal the interpreter's. Returns
+    /// the first block-engine machine for further inspection.
     fn assert_engines_agree(
         isa: Isa,
         src: &str,
@@ -461,6 +501,15 @@ v:      .word 3, 0
         if rb.is_ok() {
             mb.stats().reconciles_with(mb.telemetry()).expect("stats reconcile");
         }
+        let mut mr = Machine::load(&image);
+        mr.set_pipeline(spec);
+        let mut split = SplitRecorder::default();
+        assert_eq!(mr.run_blocks(fuel, &mut split), ri, "stop/fault disagree with runs ({isa})");
+        assert_eq!(mr.stats(), mi.stats(), "stats disagree with runs ({isa})");
+        let mut want = SplitRecorder::default();
+        ti.replay(&mut want);
+        assert_eq!(split.fetches, want.fetches, "fetch stream disagrees with runs ({isa})");
+        assert_eq!(split.data, want.data, "data stream disagrees with runs ({isa})");
         (mb, rb)
     }
 

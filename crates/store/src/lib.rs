@@ -14,7 +14,11 @@
 //!    FNV-1a/64 digest). A truncated write, a flipped bit, or a
 //!    foreign-format file fails the envelope check; the entry is
 //!    evicted, counted in `corrupt_evicted`, and the artifact is
-//!    silently recomputed. A cache can lose entries; it must not lie.
+//!    silently recomputed. An intact envelope whose payload the
+//!    caller's decoder rejects (a record written by a build with another
+//!    payload format) is evicted the same way but counted in
+//!    `stale_evicted`: no byte of it was damaged. A cache can lose
+//!    entries; it must not lie.
 //! 2. **Atomic commit, single writer.** Writes go to a per-process temp
 //!    file in the entry's directory and are published with `rename`,
 //!    which replaces atomically on POSIX. On top of that, every commit
@@ -92,6 +96,7 @@ pub struct StoreStats {
     corrupt_evicted: AtomicU64,
     io_errors: AtomicU64,
     lock_contention: AtomicU64,
+    stale_evicted: AtomicU64,
 }
 
 /// A point-in-time copy of [`StoreStats`].
@@ -103,7 +108,8 @@ pub struct StatsSnapshot {
     pub miss: u64,
     /// Entries committed.
     pub write: u64,
-    /// Entries evicted because the envelope or payload failed to check.
+    /// Entries evicted because their envelope failed to check: damaged
+    /// or foreign bytes.
     pub corrupt_evicted: u64,
     /// Lookups or commits abandoned on a filesystem error, each one
     /// degraded to recomputation (the `store-io` failpoint lands here).
@@ -111,12 +117,16 @@ pub struct StatsSnapshot {
     /// Commits or evictions abandoned because another writer held the
     /// entry lock past the retry budget; degraded to recomputation.
     pub lock_contention: u64,
+    /// Entries evicted because the caller's decoder rejected an intact
+    /// envelope's payload: a record in another payload format, typically
+    /// written by an older build.
+    pub stale_evicted: u64,
 }
 
 impl StatsSnapshot {
     /// `(name, value)` pairs in [`d16_telemetry::STORE_SCHEMA`] order.
     #[must_use]
-    pub fn named(&self) -> [(&'static str, u64); 6] {
+    pub fn named(&self) -> [(&'static str, u64); 7] {
         let names = d16_telemetry::STORE_SCHEMA.names();
         [
             (names[0], self.hit),
@@ -125,6 +135,7 @@ impl StatsSnapshot {
             (names[3], self.corrupt_evicted),
             (names[4], self.io_errors),
             (names[5], self.lock_contention),
+            (names[6], self.stale_evicted),
         ]
     }
 }
@@ -256,10 +267,11 @@ impl Store {
     }
 
     /// Looks up an entry and decodes it. `decode` returning `None` is
-    /// treated exactly like a bad checksum: the file cannot be what the
-    /// key promises, so it is evicted and the lookup is a miss. It may
+    /// treated like a bad checksum: the file cannot be what the key
+    /// promises, so it is evicted and the lookup is a miss, but it is
+    /// counted in `stale_evicted`, not `corrupt_evicted`. `decode` may
     /// be called more than once: eviction revalidates under the entry
-    /// lock, and if a concurrent writer replaced the damaged bytes in
+    /// lock, and if a concurrent writer replaced the rejected bytes in
     /// the meantime the fresh bytes are decoded and served instead.
     ///
     /// The read itself is lock-free — `rename` commits mean a reader
@@ -293,22 +305,18 @@ impl Store {
                 self.stats.hit.fetch_add(1, Ordering::Relaxed);
                 Some(v)
             }
-            None => self.evict_corrupt(&path, decode),
+            None => self.evict(&path, decode),
         }
     }
 
-    /// Evicts an entry whose bytes failed to decode — but only under
-    /// the entry lock, and only after revalidating. Without the lock,
+    /// Evicts an entry whose bytes failed to check or decode — but only
+    /// under the entry lock, and only after revalidating. Without the lock,
     /// this read-decide-unlink sequence races a concurrent `put`: the
     /// reader decodes stale damaged bytes, the writer commits a fresh
     /// good entry, and the reader's unlink then destroys it. Under the
     /// lock no commit can interleave, and a revalidating re-read turns
     /// "the writer beat us to it" into a served hit.
-    fn evict_corrupt<T>(
-        &self,
-        path: &Path,
-        mut decode: impl FnMut(&[u8]) -> Option<T>,
-    ) -> Option<T> {
+    fn evict<T>(&self, path: &Path, mut decode: impl FnMut(&[u8]) -> Option<T>) -> Option<T> {
         let Some(_lock) = acquire_lock(&lock_path(path), EVICT_LOCK_ATTEMPTS) else {
             // Whoever holds the lock is replacing the entry; leave it.
             self.stats.lock_contention.fetch_add(1, Ordering::Relaxed);
@@ -322,9 +330,14 @@ impl Store {
                 Some(v)
             }
             None => {
-                if current.is_some() {
+                if let Some(bytes) = current {
                     let _ = fs::remove_file(path);
-                    self.stats.corrupt_evicted.fetch_add(1, Ordering::Relaxed);
+                    let counter = if unwrap_envelope(&bytes).is_some() {
+                        &self.stats.stale_evicted
+                    } else {
+                        &self.stats.corrupt_evicted
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
                 }
                 self.stats.miss.fetch_add(1, Ordering::Relaxed);
                 None
@@ -381,6 +394,7 @@ impl Store {
             corrupt_evicted: self.stats.corrupt_evicted.load(Ordering::Relaxed),
             io_errors: self.stats.io_errors.load(Ordering::Relaxed),
             lock_contention: self.stats.lock_contention.load(Ordering::Relaxed),
+            stale_evicted: self.stats.stale_evicted.load(Ordering::Relaxed),
         }
     }
 
@@ -501,13 +515,23 @@ mod tests {
     }
 
     #[test]
-    fn decode_failure_counts_as_corruption() {
+    fn decode_failure_counts_as_stale() {
         let dir = TempDir::new("decode");
         let store = Store::open(dir.path()).unwrap();
         store.put("cell", key(1), b"not what the codec wants");
         assert_eq!(store.get_with("cell", key(1), |_| None::<()>), None);
-        assert_eq!(store.stats().corrupt_evicted, 1);
+        let s = store.stats();
+        assert_eq!((s.stale_evicted, s.corrupt_evicted, s.miss), (1, 0, 1));
         assert!(!store.entry_path("cell", key(1)).exists(), "evicted from disk");
+        // Damaged bytes under the same decoder still count as corruption.
+        store.put("cell", key(2), b"payload");
+        let path = store.entry_path("cell", key(2));
+        let mut bytes = fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        fs::write(&path, bytes).unwrap();
+        assert_eq!(store.get_with("cell", key(2), |_| None::<()>), None);
+        let s = store.stats();
+        assert_eq!((s.stale_evicted, s.corrupt_evicted), (1, 1));
     }
 
     #[test]
@@ -621,6 +645,7 @@ mod tests {
         assert_eq!(reg.counter("store.corrupt_evicted"), Some(0));
         assert_eq!(reg.counter("store.io_errors"), Some(0));
         assert_eq!(reg.counter("store.lock_contention"), Some(0));
+        assert_eq!(reg.counter("store.stale_evicted"), Some(0));
     }
 
     #[test]

@@ -140,7 +140,8 @@ counter_schema! {
         Miss => "miss",
         /// Entries committed.
         Write => "write",
-        /// Entries evicted for failing the envelope or payload check.
+        /// Entries evicted for failing the envelope check (damaged or
+        /// foreign bytes).
         CorruptEvicted => "corrupt_evicted",
         /// Lookups or commits abandoned on a filesystem error (each one
         /// degraded to recomputation).
@@ -148,6 +149,9 @@ counter_schema! {
         /// Commits or evictions abandoned because another writer held the
         /// entry lock past the retry budget (degraded, never blocked).
         LockContention => "lock_contention",
+        /// Entries evicted because the reader's decoder rejected an intact
+        /// envelope's payload (a record in another payload format).
+        StaleEvicted => "stale_evicted",
     }
 }
 
@@ -521,7 +525,15 @@ mod tests {
     fn store_schema_names() {
         assert_eq!(
             STORE_SCHEMA.names(),
-            &["hit", "miss", "write", "corrupt_evicted", "io_errors", "lock_contention"]
+            &[
+                "hit",
+                "miss",
+                "write",
+                "corrupt_evicted",
+                "io_errors",
+                "lock_contention",
+                "stale_evicted"
+            ]
         );
     }
 

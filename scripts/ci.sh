@@ -88,7 +88,8 @@ gate_engine() {
     # rendered tables and the deterministic metrics dump may not differ
     # by a byte between the block-caching default and the per-instruction
     # interpreter. The speedup itself is gated in-process (same machine,
-    # same build) by the bench_drift floor test.
+    # same build) by the bench_drift floor test, and what the measurement
+    # observers add to the block engine by its ceiling test.
     step "engine: --engine blocks vs --engine interp, stdout + metrics byte-identical"
     local tmp
     tmp=$(mktemp -d)
@@ -127,6 +128,9 @@ gate_engine() {
     step "engine: 4x best-of-3 speedup floor (block engine vs interpreter, in-process)"
     cargo test --release --locked --offline -p d16-xtests --test bench_drift \
         -- --ignored --exact block_engine_speedup_floor
+    step "engine: 1.35x best-of-3 observer-cost ceiling (Plan::run vs NullSink, in-process)"
+    cargo test --release --locked --offline -p d16-xtests --test bench_drift \
+        -- --ignored --exact observer_cost_ceiling
 }
 
 gate_store() {
