@@ -51,7 +51,7 @@
 use d16_bench::json::Json;
 use d16_bench::report;
 use d16_core::report::{f2, f3, pct, Table};
-use d16_core::suite::standard_specs;
+use d16_core::suite::{standard_specs, PIPELINE_SWEEP_WORKLOADS};
 use d16_core::{base_specs, default_jobs, experiments as ex, Engine, Plan, Source, Suite};
 use d16_sim::{PipelineSpec, Predictor, PIPELINE_DEPTHS};
 use d16_store::Store;
@@ -190,12 +190,16 @@ fn main() {
         eprintln!("--only picks its own workloads; it cannot combine with --smoke or --all");
         std::process::exit(2);
     }
-    if extended && (smoke || !only.is_empty()) {
-        eprintln!("--extended needs the full grid; it cannot combine with --smoke or --only");
-        std::process::exit(2);
+    for (wanted, flag) in [(extended, "--extended"), (pipeline_sweep, "--pipeline-sweep")] {
+        if wanted && (smoke || !only.is_empty()) {
+            eprintln!("{flag} needs the full grid; it cannot combine with --smoke or --only");
+            std::process::exit(2);
+        }
     }
-    // The extended distribution tables ride along with every full run.
+    // The extended distribution tables and the pipeline sweep ride along
+    // with every full run.
     let extended = extended || all;
+    let pipeline_sweep = pipeline_sweep || all;
     let only_workloads: Vec<&Workload> = only
         .iter()
         .map(|name| {
@@ -283,8 +287,14 @@ fn main() {
     };
     // One plan for every cell of the run: the grid collections fill in
     // each workload and target, the experiments their own.
-    let plan =
-        Plan { pipeline: pspec, engine, cache_grid: true, store: store.clone(), ..Plan::default() };
+    let plan = Plan {
+        pipeline: pspec,
+        engine,
+        cache_grid: true,
+        pipeline_sweep,
+        store: store.clone(),
+        ..Plan::default()
+    };
     let paper: Vec<&Workload> = d16_workloads::SUITE.iter().collect();
     let collect = |jobs: usize| {
         if smoke {
@@ -398,8 +408,8 @@ fn main() {
     // The pipeline sweep prints after the paper's blocks so earlier
     // blocks of a regenerated results.txt stay byte-identical to runs
     // that predate the sweep.
-    if pipeline_sweep || all {
-        for (w, reason) in print_pipeline_sweep(&plan) {
+    if pipeline_sweep {
+        for (w, reason) in print_pipeline_sweep(&suite) {
             eprintln!("skipped ({w}, pipeline sweep): {reason}");
             skips.push((w, "pipeline sweep".to_string(), reason));
         }
@@ -570,63 +580,58 @@ fn print_fpu_sweep(plan: &Plan) -> Vec<(String, String)> {
 }
 
 /// Extension beyond the paper: retime every standard target across the
-/// pipeline depth × predictor grid (one interpreter pass per target; see
-/// DESIGN.md §14). Returns the `(workload, reason)` of skipped sweeps.
-fn print_pipeline_sweep(plan: &Plan) -> Vec<(String, String)> {
+/// pipeline depth × predictor grid, as scored inside the collected cells
+/// (see DESIGN.md §14). Returns the `(workload, reason)` of skipped
+/// sweeps.
+fn print_pipeline_sweep(suite: &Suite) -> Vec<(String, String)> {
     let mut skips = Vec::new();
-    for w in ["towers", "assem"] {
-        match workload_plan(plan, w).and_then(|p| p.pipeline_sweep()) {
-            Ok(rows) => {
-                for row in &rows {
-                    let mut t = Table::new(
-                        &format!(
-                            "Extension: pipeline sweep, {w} on {} ({} insns; base cycles)",
-                            row.target, row.sweep.insns
-                        ),
-                        &["depth", "interlock", "none", "taken", "twobit"],
-                    );
-                    for &d in &PIPELINE_DEPTHS {
-                        let cyc = |p: Predictor| {
-                            row.sweep.cell(d, p).map_or("-".into(), |c| c.cycles.to_string())
-                        };
-                        let il = row
-                            .sweep
-                            .cell(d, Predictor::None)
-                            .map_or("-".into(), |c| c.interlock_cycles.to_string());
-                        t.row(vec![
-                            d.to_string(),
-                            il,
-                            cyc(Predictor::None),
-                            cyc(Predictor::StaticTaken),
-                            cyc(Predictor::TwoBit),
-                        ]);
-                    }
-                    let mis = |p: Predictor| {
-                        row.sweep
-                            .cell(PIPELINE_DEPTHS[0], p)
-                            .map_or("-".into(), |c| c.mispredicts.to_string())
-                    };
-                    t.row(vec![
-                        "mispredicts".into(),
-                        "-".into(),
-                        mis(Predictor::None),
-                        mis(Predictor::StaticTaken),
-                        mis(Predictor::TwoBit),
-                    ]);
-                    println!("{}", t.render());
-                }
-                let mut t = Table::new(
-                    &format!("Extension: fetch traffic across fetch widths, {w} (units)"),
-                    &["target", "w=1", "w=2", "w=4"],
-                );
-                for row in &rows {
-                    let [u1, u2, u4] = row.sweep.fetch_units;
-                    t.row(vec![row.target.clone(), u1.to_string(), u2.to_string(), u4.to_string()]);
-                }
-                println!("{}", t.render());
+    for w in PIPELINE_SWEEP_WORKLOADS {
+        let rows: Result<Vec<_>, String> = standard_specs()
+            .iter()
+            .map(|spec| {
+                let target = spec.label();
+                let m = suite.try_get(w, &target).map_err(|e| e.to_string())?;
+                let sweep = m.pipeline_sweep.as_ref();
+                Ok((sweep.ok_or(format!("cell ({w}, {target}) fed no pipeline sweep"))?, target))
+            })
+            .collect();
+        let rows = match rows {
+            Ok(rows) => rows,
+            Err(e) => {
+                skips.push((w.to_string(), e));
+                continue;
             }
-            Err(e) => skips.push((w.to_string(), e)),
+        };
+        // The cells run depth-major, in `Predictor::ALL` order within a
+        // depth: none, taken, twobit.
+        let per_depth = Predictor::ALL.len();
+        for (sweep, target) in &rows {
+            let mut t = Table::new(
+                &format!(
+                    "Extension: pipeline sweep, {w} on {target} ({} insns; base cycles)",
+                    sweep.insns
+                ),
+                &["depth", "interlock", "none", "taken", "twobit"],
+            );
+            for (d, cells) in PIPELINE_DEPTHS.iter().zip(sweep.cells.chunks(per_depth)) {
+                let mut row = vec![d.to_string(), cells[0].interlock_cycles.to_string()];
+                row.extend(cells.iter().map(|c| c.cycles.to_string()));
+                t.row(row);
+            }
+            let mut row = vec!["mispredicts".to_string(), "-".to_string()];
+            row.extend(sweep.cells[..per_depth].iter().map(|c| c.mispredicts.to_string()));
+            t.row(row);
+            println!("{}", t.render());
         }
+        let mut t = Table::new(
+            &format!("Extension: fetch traffic across fetch widths, {w} (units)"),
+            &["target", "w=1", "w=2", "w=4"],
+        );
+        for (sweep, target) in &rows {
+            let [u1, u2, u4] = sweep.fetch_units;
+            t.row(vec![target.clone(), u1.to_string(), u2.to_string(), u4.to_string()]);
+        }
+        println!("{}", t.render());
     }
     skips
 }

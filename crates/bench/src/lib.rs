@@ -179,7 +179,7 @@ pub mod json {
         pub fn parse(text: &str) -> Result<Json, String> {
             let b = text.as_bytes();
             let mut pos = 0usize;
-            let v = parse_value(b, &mut pos)?;
+            let v = parse_value(text, &mut pos)?;
             skip_ws(b, &mut pos);
             if pos != b.len() {
                 return Err(format!("trailing data at byte {pos}"));
@@ -249,14 +249,15 @@ pub mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+        let b = text.as_bytes();
         skip_ws(b, pos);
         match b.get(*pos) {
             None => Err("unexpected end of input".to_string()),
             Some(b'n') => eat(b, pos, "null").map(|()| Json::Null),
             Some(b't') => eat(b, pos, "true").map(|()| Json::Bool(true)),
             Some(b'f') => eat(b, pos, "false").map(|()| Json::Bool(false)),
-            Some(b'"') => parse_string(b, pos).map(Json::Str),
+            Some(b'"') => parse_string(text, pos).map(Json::Str),
             Some(b'[') => {
                 *pos += 1;
                 let mut items = Vec::new();
@@ -266,7 +267,7 @@ pub mod json {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(b, pos)?);
+                    items.push(parse_value(text, pos)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -288,10 +289,10 @@ pub mod json {
                 }
                 loop {
                     skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
+                    let key = parse_string(text, pos)?;
                     skip_ws(b, pos);
                     eat(b, pos, ":")?;
-                    pairs.push((key, parse_value(b, pos)?));
+                    pairs.push((key, parse_value(text, pos)?));
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -321,7 +322,12 @@ pub mod json {
         }
     }
 
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+    /// Parses the string starting at byte `pos` of `text`. Each run of
+    /// plain characters up to the next `"` or `\` is copied at once;
+    /// both are ASCII, so every run starts and ends on a character
+    /// boundary and the whole string costs one pass.
+    fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+        let b = text.as_bytes();
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected string at byte {pos}"));
         }
@@ -361,11 +367,10 @@ pub mod json {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                    let end = run.map_or(b.len(), |n| *pos + n);
+                    out.push_str(&text[*pos..end]);
+                    *pos = end;
                 }
             }
         }
@@ -534,6 +539,22 @@ pub mod json {
             let j = Json::parse(" { \"a\" : [ 1 , 2.5e1 ] , \"u\" : \"\\u0041\" } ").unwrap();
             assert_eq!(j.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(25.0));
             assert_eq!(j.get("u").unwrap().as_str(), Some("A"));
+        }
+
+        #[test]
+        fn parse_decodes_every_escape_and_multibyte_text() {
+            let j = Json::parse(r#""q\"b\\s\/n\nr\rt\tu\u00e9""#).unwrap();
+            assert_eq!(j.as_str(), Some("q\"b\\s/n\nr\rt\tu\u{e9}"));
+            // Two-, three- and four-byte characters, next to escapes and
+            // at both ends of the string.
+            let text = "é, 世界 \n 🚀 ünï\"cødé🚀";
+            let j = Json::parse(&Json::Str(text.to_string()).to_string()).unwrap();
+            assert_eq!(j.as_str(), Some(text));
+            let j = Json::parse("{\"ключ\":\"значение\"}").unwrap();
+            assert_eq!(j.get("ключ").and_then(Json::as_str), Some("значение"));
+            for bad in [r#""\x""#, r#""\u12""#, r#""\ud800""#, "\"\\", "\"é"] {
+                assert!(Json::parse(bad).is_err(), "{bad}");
+            }
         }
 
         #[test]

@@ -47,9 +47,10 @@ fn unknown_only_workload_lists_the_whole_registry() {
     }
 }
 
-#[test]
-fn extended_rejects_smoke_and_only() {
-    for args in [["--extended", "--smoke"], ["--extended", "--only"]] {
+/// `flag` reads the full grid, so a `--smoke` or `--only` subset is a
+/// usage error (exit 2), caught before anything is collected.
+fn needs_the_full_grid(flag: &str) {
+    for args in [[flag, "--smoke"], [flag, "--only"]] {
         let mut cmd = repro();
         cmd.args(args);
         if args[1] == "--only" {
@@ -58,8 +59,19 @@ fn extended_rejects_smoke_and_only() {
         let out = cmd.output().expect("run repro");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--extended needs the full grid"), "{args:?}: {err}");
+        assert!(err.contains(&format!("{flag} needs the full grid")), "{args:?}: {err}");
+        assert!(!err.contains("collecting"), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn extended_rejects_smoke_and_only() {
+    needs_the_full_grid("--extended");
+}
+
+#[test]
+fn pipeline_sweep_rejects_smoke_and_only() {
+    needs_the_full_grid("--pipeline-sweep");
 }
 
 #[test]

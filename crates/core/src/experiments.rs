@@ -752,7 +752,7 @@ pub fn appendix_tables(suite: &Suite) -> Vec<AppendixRow> {
 // ------------------------------------------------------------------------
 
 /// One point of the FPU-latency sensitivity sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FpuSweepPoint {
     /// Multiply latency (divide scales 3×, add/convert stay at 2).
     pub mul_latency: u64,
@@ -770,10 +770,9 @@ impl Plan<'_> {
     /// Sensitivity of the D16/DLXe comparison to FPU ("math unit")
     /// latency — the interface the paper simplifies for its prototype.
     /// Re-runs the plan's source with multiply latencies 1–16 on both
-    /// unrestricted machines (on the reference interpreter, default
-    /// pipeline). The plan supplies the source, opt level, fuel and
-    /// store; with a store, the five points are cached and their rates
-    /// restored bit-exactly.
+    /// unrestricted machines (default pipeline). The plan supplies the
+    /// source, opt level, engine, fuel and store; with a store, the five
+    /// points are cached and their rates restored bit-exactly.
     ///
     /// The paper's conclusion is robust if the cycle *ratio* stays
     /// stable: both encodings issue the same FP operations, so latency
@@ -794,7 +793,7 @@ impl Plan<'_> {
                 let run = |image: &d16_asm::Image| -> Result<(u64, f64), String> {
                     let mut m = Machine::load(image);
                     m.set_fpu_latency(lat);
-                    m.run(self.fuel, &mut NullSink).map_err(|e| e.to_string())?;
+                    m.run_with(self.engine, self.fuel, &mut NullSink).map_err(|e| e.to_string())?;
                     Ok((m.stats().base_cycles(), m.stats().interlock_rate()))
                 };
                 let (d16_cycles, d16_rate) = run(&d16_image)?;
@@ -810,64 +809,6 @@ impl Plan<'_> {
             Ok(out)
         };
         self.through_store(&stored::FPU, sweep)
-    }
-}
-
-// ------------------------------------------------------------------------
-// Beyond the paper: pipeline depth × predictor sweep (extension)
-// ------------------------------------------------------------------------
-
-/// One target's pipeline-sweep grid for a workload: every
-/// (depth, predictor) timing cell plus fetch traffic at every fetch
-/// width, scored in a single interpreter pass
-/// (see [`d16_sim::PipelineSweep`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PipelineSweepRow {
-    /// Target label (`D16/16/2`, ..., `D16x/16/3`).
-    pub target: String,
-    /// The finished grid.
-    pub sweep: d16_sim::SweepResult,
-}
-
-impl Plan<'_> {
-    /// Sensitivity of the D16/DLXe comparison to the pipeline design
-    /// point — the paper fixes a five-stage, predict-untaken,
-    /// one-word-fetch machine; this sweep re-times the plan's source on
-    /// every standard target across depths 3–8, three front-end
-    /// predictors, and three fetch widths. One interpreter pass per target
-    /// scores the whole grid; the default-spec cell reproduces
-    /// [`d16_sim::ExecStats::base_cycles`] exactly. The plan supplies the
-    /// source, opt level, fuel and store; with a store, the per-target
-    /// grids are cached and restored bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build/run failures with a description.
-    pub fn pipeline_sweep(&self) -> Result<Vec<PipelineSweepRow>, String> {
-        let sweep = || {
-            let name = self.source.name();
-            let mut out = Vec::new();
-            for spec in crate::suite::standard_specs() {
-                let image = Plan { target: spec.clone(), ..self.clone() }
-                    .build()
-                    .map_err(|e| e.to_string())?;
-                let mut m = Machine::load(&image);
-                m.attach_pipeline_sweep(d16_sim::PipelineSweep::new());
-                match m.run(self.fuel, &mut NullSink).map_err(|e| e.to_string())? {
-                    d16_sim::StopReason::Halted(_) => {}
-                    d16_sim::StopReason::OutOfFuel => {
-                        return Err(format!("{name} on {}: did not halt", spec.label()))
-                    }
-                }
-                let sweep = m
-                    .take_pipeline_sweep()
-                    .ok_or_else(|| format!("{name} on {}: sweep detached", spec.label()))?
-                    .finish();
-                out.push(PipelineSweepRow { target: spec.label(), sweep });
-            }
-            Ok(out)
-        };
-        self.through_store(&stored::PSWEEP, sweep)
     }
 }
 
@@ -1083,6 +1024,28 @@ mod tests {
     use super::*;
     use crate::plan::Source;
     use d16_testkit::cases;
+
+    /// Both engines give every point of the FPU sweep, including the
+    /// latencies other than the default, with equal cycles and rates.
+    #[test]
+    fn fpu_sweep_points_agree_on_both_engines() {
+        let src = "double a[8];
+            int main(void) {
+                int i, k; double s = 1.0;
+                for (k = 0; k < 40; k++)
+                    for (i = 0; i < 8; i++) {
+                        a[i] = a[i] * 0.5 + s / (double)(i + k + 1);
+                        s = s * 1.0001 - a[i] * 0.25;
+                    }
+                return (int)(s * 1000.0);
+            }";
+        let plan = Plan { source: Source::Inline(src), ..Plan::default() };
+        let interp = Plan { engine: d16_sim::Engine::Interp, ..plan.clone() }.fpu_sweep().unwrap();
+        let blocks = Plan { engine: d16_sim::Engine::Blocks, ..plan }.fpu_sweep().unwrap();
+        assert_eq!(interp.len(), 5);
+        assert!(interp.windows(2).all(|p| p[1].d16_cycles > p[0].d16_cycles), "latency shows");
+        assert_eq!(blocks, interp);
+    }
 
     /// Random fetch runs over a real `DLXe/16/2` image counted as runs
     /// and fetch by fetch: fixed 4-byte runs (DLXe's) and mixed 2- and

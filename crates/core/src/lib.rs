@@ -7,10 +7,11 @@
 //! Microprocessors"* (see DESIGN.md §5 for the experiment index).
 //!
 //! Every run goes through one [`Plan`] value (source, target, pipeline,
-//! opt level, engine, fuel, cache-grid switch, optional store) and one
-//! entry point per operation on it; see the [`plan`] module. Each run
-//! feeds every observer at once, so the cache study and Table 4 read the
-//! same executions the measurement grid runs.
+//! opt level, engine, fuel, cache-grid and pipeline-sweep switches,
+//! optional store) and one entry point per operation on it; see the
+//! [`plan`] module. Each run feeds every observer at once, so the cache
+//! study, Table 4 and the pipeline sweep read the same executions the
+//! measurement grid runs.
 //!
 //! ```no_run
 //! use d16_core::{default_jobs, experiments, standard_specs, Plan, Suite};

@@ -40,6 +40,9 @@ pub struct Measurement {
     /// Table 4's immediate-class counts; present on runs of a registered
     /// workload on `DLXe/16/2`.
     pub imm: Option<ImmClasses>,
+    /// The pipeline depth × predictor × fetch-width grid the run fed,
+    /// when the plan's `pipeline_sweep` switch was on.
+    pub pipeline_sweep: Option<d16_sim::SweepResult>,
 }
 
 /// A finished cache grid: one [`CacheSystem`] per configuration of
@@ -188,6 +191,7 @@ mod tests {
             tele: d16_telemetry::Counters::new(&d16_sim::SIM_SCHEMA),
             grid: None,
             imm: None,
+            pipeline_sweep: None,
         };
         assert_eq!(m.requests(4), 3);
         assert_eq!(m.cacheless_cycles(4, 0), 5);

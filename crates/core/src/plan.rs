@@ -1,13 +1,12 @@
 //! The run plan: one value that says how a program is built and run, and
 //! one entry point per operation on it — [`Plan::build`],
 //! [`Plan::measure`] (or [`Plan::run`] on a built image),
-//! [`crate::Suite::collect`], [`Plan::table4`], [`Plan::fpu_sweep`] and
-//! [`Plan::pipeline_sweep`]. `repro`, the experiments and `d16-serve` all
-//! run through these.
+//! [`crate::Suite::collect`], [`Plan::table4`] and [`Plan::fpu_sweep`].
+//! `repro`, the experiments and `d16-serve` all run through these.
 //!
 //! One run feeds every observer at once: the two fetch-buffer bus models,
-//! the cache grid (when the plan asks for it) and the Table 4 classifier
-//! (on `DLXe/16/2`).
+//! the cache grid and the pipeline sweep (each when the plan asks for
+//! it) and the Table 4 classifier (on `DLXe/16/2`).
 
 use crate::experiments::{cache_grid_configs, table4_target, ImmClassifier};
 use crate::measure::{CacheGrid, MeasureError, Measurement, FUEL};
@@ -15,7 +14,7 @@ use crate::stored;
 use d16_asm::Image;
 use d16_cc::{OptLevel, TargetSpec};
 use d16_mem::{CacheBank, FetchBuffer};
-use d16_sim::{AccessSink, Engine, Machine, NullSink, PipelineSpec, StopReason};
+use d16_sim::{AccessSink, Engine, Machine, NullSink, PipelineSpec, PipelineSweep, StopReason};
 use d16_store::Store;
 use d16_workloads::Workload;
 use std::sync::Arc;
@@ -84,6 +83,11 @@ pub struct Plan<'a> {
     /// [`cache_grid_configs`] configuration, observing each access as it
     /// happens.
     pub cache_grid: bool,
+    /// Whether the run feeds a [`PipelineSweep`], which scores the
+    /// pipeline depth × predictor × fetch-width grid against it. The
+    /// collector is fed by the interpreter, so a swept run takes that
+    /// engine whatever `engine` says.
+    pub pipeline_sweep: bool,
     /// Artifact store: images, cells and experiment records are served
     /// from it when an intact entry exists and committed to it otherwise.
     pub store: Option<Arc<Store>>,
@@ -99,6 +103,7 @@ impl Default for Plan<'_> {
             engine: Engine::default(),
             fuel: FUEL,
             cache_grid: false,
+            pipeline_sweep: false,
             store: None,
         }
     }
@@ -151,6 +156,9 @@ impl Plan<'_> {
     pub fn run(&self, image: &Image) -> Result<Measurement, MeasureError> {
         let mut machine = Machine::load(image);
         machine.set_pipeline(self.pipeline);
+        if self.pipeline_sweep {
+            machine.attach_pipeline_sweep(PipelineSweep::new());
+        }
         let bank =
             || CacheBank::symmetric(&cache_grid_configs()).expect("grid configurations are valid");
         let imm = || ImmClassifier::new(image);
@@ -196,6 +204,7 @@ impl Plan<'_> {
                 systems: bank.into_systems(),
             }),
             imm: imm.map(|c| c.classes(image)),
+            pipeline_sweep: machine.take_pipeline_sweep().map(PipelineSweep::finish),
         })
     }
 

@@ -1,14 +1,15 @@
 //! Cache keys and codecs for the harness's `d16-store` artifacts.
 //!
-//! Four artifact kinds ride in the store:
+//! Three artifact kinds ride in the store:
 //!
 //! * `image` — linked binaries ([`crate::Plan::build`]).
 //! * `cell` — one (workload, target) [`Measurement`], with what its
 //!   observers computed: the cache grid's per-configuration aggregate
 //!   statistics (from which every cache counter is rebuilt) when the run
-//!   swept it, and Table 4's immediate-class counts on `DLXe/16/2`.
-//! * `fpu` / `psweep` — the experiments that re-run workloads outside
-//!   the suite grid (FPU-latency points, pipeline-sweep grids).
+//!   swept it, Table 4's immediate-class counts on `DLXe/16/2`, and the
+//!   pipeline-sweep grid when the run fed one.
+//! * `fpu` — the one experiment that re-runs workloads outside the
+//!   suite grid (the FPU-latency points).
 //!
 //! Every key folds in [`CORE_TAG`] (bump when the simulator, memory
 //! models, or these codecs change observable results), the image keys of
@@ -22,13 +23,16 @@
 //! tables are bit-identical to a cold run's, so caching can never change
 //! a paper-facing number (DESIGN.md §6).
 
-use crate::experiments::{cache_grid_configs, FpuSweepPoint, PipelineSweepRow};
+use crate::experiments::{cache_grid_configs, FpuSweepPoint};
 use crate::measure::{CacheGrid, ImmClasses, Measurement, FUEL};
 use crate::plan::Plan;
 use d16_asm::Image;
 use d16_cc::{OptLevel, TargetSpec};
 use d16_mem::{CacheConfig, CacheStats, CacheSystem, BANK_SCHEMA};
-use d16_sim::{ExecStats, PipelineSpec, Predictor, SIM_SCHEMA};
+use d16_sim::{
+    ExecStats, PipelineSpec, Predictor, SweepCell, SweepResult, FETCH_WIDTHS, PIPELINE_DEPTHS,
+    SIM_SCHEMA,
+};
 use d16_store::{CacheKey, Reader, StableHasher, Writer};
 use d16_telemetry::Counters;
 
@@ -63,14 +67,6 @@ pub(crate) const CELL: Record<Measurement> =
 pub(crate) const FPU: Record<Vec<FpuSweepPoint>> =
     Record { kind: "fpu", key: fpu_key, decode: |b, _| decode_fpu(b), encode: |p| encode_fpu(p) };
 
-/// Per-workload pipeline depth × predictor sweep grids.
-pub(crate) const PSWEEP: Record<Vec<PipelineSweepRow>> = Record {
-    kind: "psweep",
-    key: psweep_key,
-    decode: |b, _| decode_psweep(b),
-    encode: |rows| encode_psweep(rows),
-};
-
 // ---------------------------------------------------------------------
 // Keys
 // ---------------------------------------------------------------------
@@ -101,8 +97,10 @@ fn fuel_field(h: &mut StableHasher, p: &Plan<'_>) {
 }
 
 /// Key of one measurement cell: the image it runs plus whether the run
-/// sweeps the cache grid. A non-default [`PipelineSpec`] retimes the
-/// machine, so it folds into the key.
+/// sweeps the cache grid, and whether it feeds the pipeline sweep (only
+/// when it does, so no other cell's key moved when the switch came in).
+/// A non-default [`PipelineSpec`] retimes the machine, so it folds into
+/// the key.
 pub(crate) fn cell_key(p: &Plan<'_>) -> CacheKey {
     let mut h = StableHasher::new("d16-core.cell");
     h.field_str(CORE_TAG)
@@ -110,6 +108,9 @@ pub(crate) fn cell_key(p: &Plan<'_>) -> CacheKey {
         .field_key(image_key(p))
         .field_str(p.source.name())
         .field_bool(p.cache_grid);
+    if p.pipeline_sweep {
+        h.field_str("pipeline-sweep");
+    }
     if p.pipeline != PipelineSpec::default() {
         h.field_u64(u64::from(p.pipeline.depth))
             .field_str(p.pipeline.predictor.name())
@@ -131,26 +132,6 @@ pub(crate) fn fpu_key(p: &Plan<'_>) -> CacheKey {
     h.finish()
 }
 
-/// Key of one workload's pipeline sweep: every standard target's image
-/// (one interpreter pass each feeds the grid) plus the sweep-grid shape,
-/// so widening the grid retires stale records.
-pub(crate) fn psweep_key(p: &Plan<'_>) -> CacheKey {
-    let mut h = StableHasher::new("d16-core.psweep");
-    h.field_str(CORE_TAG).field_str(p.source.name());
-    for spec in crate::suite::standard_specs() {
-        h.field_key(image_key_on(p, spec));
-    }
-    h.field_u64(d16_sim::SWEEP_CELLS as u64);
-    for &d in &d16_sim::PIPELINE_DEPTHS {
-        h.field_u64(u64::from(d));
-    }
-    for &fw in &d16_sim::FETCH_WIDTHS {
-        h.field_u64(u64::from(fw));
-    }
-    fuel_field(&mut h, p);
-    h.finish()
-}
-
 // ---------------------------------------------------------------------
 // Cell records
 // ---------------------------------------------------------------------
@@ -163,7 +144,8 @@ const NO_GRID: u8 = 0;
 const GRID: u8 = 2;
 
 /// Serializes one measured cell: the measurement, its cache grid when
-/// the run swept one, and its Table 4 counts when it took them.
+/// the run swept one, its Table 4 counts when it took them, and its
+/// pipeline-sweep grid when it fed one.
 #[must_use]
 pub(crate) fn encode_cell(m: &Measurement) -> Vec<u8> {
     let mut w = Writer::new();
@@ -194,14 +176,17 @@ pub(crate) fn encode_cell(m: &Measurement) -> Vec<u8> {
     if let Some(c) = m.imm {
         w.u64(c.cmp).u64(c.alu).u64(c.mem);
     }
+    if let Some(sweep) = &m.pipeline_sweep {
+        write_sweep(&mut w, sweep);
+    }
     w.into_bytes()
 }
 
 /// Deserializes a cell record for the plan `p`; `None` on any structural
 /// damage, on a record whose shape disagrees with what a run of `p`
 /// observes (a grid exactly when `p` sweeps one, Table 4 counts exactly
-/// when `p` counts them), or on a counter block from the other telemetry
-/// mode.
+/// when `p` counts them, a pipeline sweep exactly when `p` feeds one),
+/// or on a counter block from the other telemetry mode.
 #[must_use]
 pub(crate) fn decode_cell(bytes: &[u8], p: &Plan<'_>) -> Option<Measurement> {
     let mut r = Reader::new(bytes);
@@ -237,6 +222,7 @@ pub(crate) fn decode_cell(bytes: &[u8], p: &Plan<'_>) -> Option<Measurement> {
     } else {
         None
     };
+    let pipeline_sweep = if p.pipeline_sweep { Some(read_sweep(&mut r)?) } else { None };
     r.finish()?;
     // The record was validated against the pinned checksum when it was
     // written, but re-check: a record that disagrees cannot be served.
@@ -255,6 +241,7 @@ pub(crate) fn decode_cell(bytes: &[u8], p: &Plan<'_>) -> Option<Measurement> {
         tele,
         grid,
         imm,
+        pipeline_sweep,
     })
 }
 
@@ -323,8 +310,60 @@ fn read_cache_half(r: &mut Reader<'_>) -> Option<(CacheConfig, CacheStats)> {
     Some((cfg, stats))
 }
 
+/// Serializes a pipeline-sweep grid: the path length, each cell's cycle
+/// account and the fetch units at each width, each labelled with its
+/// design point.
+fn write_sweep(w: &mut Writer, sweep: &SweepResult) {
+    w.u64(sweep.insns).u64(sweep.cells.len() as u64);
+    for c in &sweep.cells {
+        w.u8(c.depth)
+            .str(c.predictor.name())
+            .u64(c.cycles)
+            .u64(c.interlock_cycles)
+            .u64(c.mispredicts)
+            .u64(c.penalty_cycles);
+    }
+    for (&width, &units) in FETCH_WIDTHS.iter().zip(&sweep.fetch_units) {
+        w.u8(width).u64(units);
+    }
+}
+
+/// Deserializes a pipeline-sweep grid; `None` on structural damage or on
+/// design points that are not exactly today's grid, in
+/// [`d16_sim::PipelineSweep`]'s order.
+fn read_sweep(r: &mut Reader<'_>) -> Option<SweepResult> {
+    let insns = r.u64()?;
+    if usize::try_from(r.u64()?).ok()? != d16_sim::SWEEP_CELLS {
+        return None;
+    }
+    let mut cells = Vec::with_capacity(d16_sim::SWEEP_CELLS);
+    for &depth in &PIPELINE_DEPTHS {
+        for &predictor in &Predictor::ALL {
+            if (r.u8()?, Predictor::parse(r.str()?)?) != (depth, predictor) {
+                return None;
+            }
+            cells.push(SweepCell {
+                depth,
+                predictor,
+                cycles: r.u64()?,
+                interlock_cycles: r.u64()?,
+                mispredicts: r.u64()?,
+                penalty_cycles: r.u64()?,
+            });
+        }
+    }
+    let mut fetch_units = [0u64; FETCH_WIDTHS.len()];
+    for (&width, units) in FETCH_WIDTHS.iter().zip(&mut fetch_units) {
+        if r.u8()? != width {
+            return None;
+        }
+        *units = r.u64()?;
+    }
+    Some(SweepResult { insns, cells, fetch_units })
+}
+
 // ---------------------------------------------------------------------
-// FPU-sweep and pipeline-sweep records
+// FPU-sweep records
 // ---------------------------------------------------------------------
 
 /// Serializes an FPU-latency sweep (rates ride as IEEE-754 bit patterns,
@@ -360,68 +399,6 @@ pub(crate) fn decode_fpu(bytes: &[u8]) -> Option<Vec<FpuSweepPoint>> {
     }
     r.finish()?;
     Some(points)
-}
-
-/// Serializes a pipeline sweep: one depth × predictor grid (plus the
-/// fetch-width traffic vector) per standard target.
-#[must_use]
-pub(crate) fn encode_psweep(rows: &[PipelineSweepRow]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(rows.len() as u64);
-    for row in rows {
-        w.str(&row.target).u64(row.sweep.insns);
-        w.u64(row.sweep.cells.len() as u64);
-        for c in &row.sweep.cells {
-            w.u8(c.depth)
-                .str(c.predictor.name())
-                .u64(c.cycles)
-                .u64(c.interlock_cycles)
-                .u64(c.mispredicts)
-                .u64(c.penalty_cycles);
-        }
-        for &u in &row.sweep.fetch_units {
-            w.u64(u);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Deserializes a pipeline sweep; `None` on structural damage, an
-/// unknown predictor name, or a grid of the wrong shape.
-#[must_use]
-pub(crate) fn decode_psweep(bytes: &[u8]) -> Option<Vec<PipelineSweepRow>> {
-    let mut r = Reader::new(bytes);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut rows = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        let target = r.str()?.to_string();
-        let insns = r.u64()?;
-        let cells_n = usize::try_from(r.u64()?).ok()?;
-        if cells_n != d16_sim::SWEEP_CELLS {
-            return None;
-        }
-        let mut cells = Vec::with_capacity(cells_n);
-        for _ in 0..cells_n {
-            cells.push(d16_sim::SweepCell {
-                depth: r.u8()?,
-                predictor: Predictor::parse(r.str()?)?,
-                cycles: r.u64()?,
-                interlock_cycles: r.u64()?,
-                mispredicts: r.u64()?,
-                penalty_cycles: r.u64()?,
-            });
-        }
-        let mut fetch_units = [0u64; d16_sim::FETCH_WIDTHS.len()];
-        for u in &mut fetch_units {
-            *u = r.u64()?;
-        }
-        rows.push(PipelineSweepRow {
-            target,
-            sweep: d16_sim::SweepResult { insns, cells, fetch_units },
-        });
-    }
-    r.finish()?;
-    Some(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -558,8 +535,12 @@ mod tests {
         let o0 = Plan { opt: OptLevel::O0, ..towers.clone() };
         assert_ne!(image_key(&towers), image_key(&o0));
         assert_ne!(base, cell_key(&o0));
+        assert_ne!(
+            base,
+            cell_key(&Plan { pipeline_sweep: true, ..towers.clone() }),
+            "feeding the pipeline sweep changes the record"
+        );
         assert_ne!(fpu_key(&towers), fpu_key(&queens));
-        assert_ne!(psweep_key(&towers), psweep_key(&queens));
     }
 
     /// Keys are the store's on-disk addresses: a change here orphans
@@ -583,26 +564,40 @@ mod tests {
     }
 
     #[test]
-    fn psweep_roundtrips_and_rejects_damage() {
-        let rows = cell("towers", TargetSpec::d16(), false).pipeline_sweep().unwrap();
-        assert_eq!(rows.len(), crate::suite::standard_specs().len());
-        for row in &rows {
-            assert_eq!(row.sweep.cells.len(), d16_sim::SWEEP_CELLS);
-            // The default-spec cell reproduces the live machine's timing
-            // constants: at depth 5 every predictor column is identical
-            // (zero penalty) and depths 3/4 carry no interlocks at all.
-            let d5 = row.sweep.cell(5, Predictor::None).unwrap();
-            for p in [Predictor::StaticTaken, Predictor::TwoBit] {
-                assert_eq!(row.sweep.cell(5, p).unwrap().cycles, d5.cycles, "{}", row.target);
-            }
-            assert_eq!(row.sweep.cell(3, Predictor::None).unwrap().interlock_cycles, 0);
+    fn swept_cell_roundtrips_and_rejects_damage() {
+        // `DLXe/16/2` also takes Table 4 counts, so the sweep follows them.
+        let plan = Plan { pipeline_sweep: true, ..cell("towers", table4_target(), false) };
+        let m = plan.measure().unwrap();
+        let sweep = m.pipeline_sweep.as_ref().unwrap();
+        assert_eq!(sweep.cells.len(), d16_sim::SWEEP_CELLS);
+        // The default-spec cell reproduces the live machine's timing
+        // constants: at depth 5 every predictor column is identical (zero
+        // penalty) and depths 3/4 carry no interlocks at all.
+        let d5 = sweep.cell(5, Predictor::None).unwrap();
+        assert_eq!(d5.cycles, m.stats.base_cycles());
+        for p in [Predictor::StaticTaken, Predictor::TwoBit] {
+            assert_eq!(sweep.cell(5, p).unwrap().cycles, d5.cycles);
         }
-        let bytes = encode_psweep(&rows);
-        let back = decode_psweep(&bytes).unwrap();
-        assert_eq!(back, rows, "sweep rows restore bit-identically");
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_psweep(&bytes[..cut]).is_none(), "cut at {cut}");
+        assert_eq!(sweep.cell(3, Predictor::None).unwrap().interlock_cycles, 0);
+
+        let bytes = encode_cell(&m);
+        let back = decode_cell(&bytes, &plan).unwrap();
+        assert_eq!(back.pipeline_sweep, m.pipeline_sweep, "the sweep restores bit-identically");
+        assert_eq!((back.stats, back.imm), (m.stats, m.imm));
+        let unswept = Plan { pipeline_sweep: false, ..plan.clone() };
+        assert!(decode_cell(&bytes, &unswept).is_none(), "a swept record serves only a sweep");
+        let plain = encode_cell(&unswept.measure().unwrap());
+        assert!(decode_cell(&plain, &plan).is_none(), "an unswept record misses a sweep");
+        for cut in [0, bytes.len() / 2, bytes.len() - 9, bytes.len() - 1] {
+            assert!(decode_cell(&bytes[..cut], &plan).is_none(), "cut at {cut}");
         }
+        // A grid over other design points than today's decodes to None.
+        let mut relabelled = m.clone();
+        relabelled.pipeline_sweep.as_mut().unwrap().cells.swap(0, 1);
+        assert!(decode_cell(&encode_cell(&relabelled), &plan).is_none());
+        let mut short = m.clone();
+        short.pipeline_sweep.as_mut().unwrap().cells.pop();
+        assert!(decode_cell(&encode_cell(&short), &plan).is_none());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! many threads ran. A cache benchmark's cell on an unrestricted machine
 //! feeds the 20-configuration cache grid as it runs, so the whole cache
 //! study costs one execution per (workload, ISA); [`Suite::cache_grid`]
-//! reads the result.
+//! reads the result. The [`PIPELINE_SWEEP_WORKLOADS`]' cells feed the
+//! pipeline sweep the same way; it rides in their [`Measurement`]s.
 
 use crate::measure::{CacheGrid, MeasureError, Measurement};
 use crate::plan::{Plan, Source};
@@ -46,6 +47,10 @@ pub fn base_specs() -> [TargetSpec; 2] {
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
+
+/// The workloads whose cells feed the pipeline sweep, on every target,
+/// when the plan's `pipeline_sweep` switch is on.
+pub const PIPELINE_SWEEP_WORKLOADS: [&str; 2] = ["towers", "assem"];
 
 /// The unrestricted machine of an ISA: the target whose cells sweep the
 /// cache grid for the cache experiments.
@@ -194,7 +199,9 @@ impl Suite {
     /// Each cell runs `plan` with the workload and target filled in; the
     /// plan's `cache_grid` switch sweeps the cache grid in the
     /// cache-benchmark workloads' cells on the unrestricted machines,
-    /// where the cache experiments need it.
+    /// where the cache experiments need it, and its `pipeline_sweep`
+    /// switch runs the pipeline sweep in the
+    /// [`PIPELINE_SWEEP_WORKLOADS`]' cells.
     ///
     /// The cells are independent, so they fan out over a scoped thread
     /// pool; cells are assembled — and any skips recorded — in work-item
@@ -230,6 +237,7 @@ impl Suite {
                 source: Source::Workload(w),
                 target: spec.clone(),
                 cache_grid: plan.cache_grid && w.cache_benchmark && *spec == unrestricted(spec.isa),
+                pipeline_sweep: plan.pipeline_sweep && PIPELINE_SWEEP_WORKLOADS.contains(&w.name),
                 ..plan.clone()
             };
             cell.measure().map_err(|e| SuiteError::Measure {
@@ -453,6 +461,38 @@ mod tests {
         let e = Suite::collect(&Plan::default(), &[&bad], &base_specs(), 2).unwrap_err();
         assert!(matches!(&e, SuiteError::NothingCollected { attempted: 2, .. }), "{e:?}");
         assert!(e.to_string().contains("checksum mismatch"), "{e}");
+    }
+
+    /// The sweep read from each collected cell is the one a standalone
+    /// interpreter pass over the same image scores; only the sweep
+    /// workloads feed it, and only with the switch on.
+    #[test]
+    fn pipeline_sweep_rides_in_the_sweep_workloads_cells() {
+        let mut ws: Vec<&Workload> =
+            PIPELINE_SWEEP_WORKLOADS.iter().map(|w| d16_workloads::by_name(w).unwrap()).collect();
+        ws.push(d16_workloads::by_name("queens").unwrap());
+        let plan = Plan { pipeline_sweep: true, ..Plan::default() };
+        let suite = Suite::collect(&plan, &ws, &standard_specs(), 2).unwrap();
+        assert_eq!(suite.cells.len(), 18);
+        for w in PIPELINE_SWEEP_WORKLOADS {
+            for spec in standard_specs() {
+                let cell = Plan {
+                    source: Source::Workload(d16_workloads::by_name(w).unwrap()),
+                    target: spec.clone(),
+                    ..Plan::default()
+                };
+                let mut m = d16_sim::Machine::load(&cell.build().unwrap());
+                m.attach_pipeline_sweep(d16_sim::PipelineSweep::new());
+                m.run(cell.fuel, &mut d16_sim::NullSink).unwrap();
+                let alone = m.take_pipeline_sweep().unwrap().finish();
+                let m = suite.try_get(w, &spec.label()).unwrap();
+                assert_eq!(m.pipeline_sweep.as_ref(), Some(&alone), "{w}");
+            }
+        }
+        let queens = suite.try_get("queens", "D16/16/2").unwrap();
+        assert!(queens.pipeline_sweep.is_none(), "only the sweep workloads feed it");
+        let off = Suite::collect(&Plan::default(), &ws[..1], &base_specs(), 2).unwrap();
+        assert!(off.cells.values().all(|m| m.pipeline_sweep.is_none()), "switch off");
     }
 
     #[test]

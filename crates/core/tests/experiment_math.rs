@@ -28,6 +28,7 @@ fn cell(workload: &str, target: &str, size: u64, insns: u64, interlocks: u64) ->
         tele: d16_telemetry::Counters::new(&d16_sim::SIM_SCHEMA),
         grid: None,
         imm: None,
+        pipeline_sweep: None,
     }
 }
 

@@ -389,6 +389,7 @@ pub fn run(
         engine: req.engine,
         fuel: req.fuel,
         cache_grid: req.sweep,
+        pipeline_sweep: false,
         store: None,
     };
     if d16_testkit::faults::armed_for("serve-fuel-exhausted", &req.tag) {
@@ -544,6 +545,20 @@ mod tests {
             assert!(err.message().contains(&label), "{label}: {}", err.message());
         }
         assert!(err.message().contains("D16x/16/3"), "{}", err.message());
+    }
+
+    #[test]
+    fn a_source_string_of_the_largest_body_parses_exactly() {
+        let max_body = crate::ServeConfig::default().max_body;
+        // One source line as JSON text: escapes and multi-byte characters.
+        let line = r#"int main(void) { return 0; } // \"ü\" 世界\n"#;
+        let (head, tail) = (r#"{"source":""#, r#""}"#);
+        let lines = (max_body - head.len() - tail.len()) / line.len();
+        let body = format!("{head}{}{tail}", line.repeat(lines));
+        assert!(body.len() + line.len() > max_body, "the body fills the limit");
+        let req = RunRequest::parse(body.as_bytes(), DEFAULT_FUEL_CAP).unwrap();
+        let source_line = "int main(void) { return 0; } // \"ü\" 世界\n";
+        assert_eq!(req.source, source_line.repeat(lines));
     }
 
     #[test]

@@ -434,9 +434,10 @@ impl Machine {
         self.pspec
     }
 
-    /// Attaches a pipeline-sweep collector: every instruction retired by
-    /// the *interpreter* ([`Machine::run`]) from now on is also scored
-    /// against every configuration of the sweep grid. Detach with
+    /// Attaches a pipeline-sweep collector: every instruction retired
+    /// from now on is also scored against every configuration of the
+    /// sweep grid. The collector is fed by the interpreter, so
+    /// [`Machine::run_blocks`] runs that while one is attached. Detach with
     /// [`Machine::take_pipeline_sweep`].
     pub fn attach_pipeline_sweep(&mut self, sweep: crate::psweep::PipelineSweep) {
         self.sweep = Some(Box::new(sweep));
@@ -554,6 +555,10 @@ impl Machine {
     /// statistics, telemetry, stop reason, faults — is identical to
     /// [`Machine::run`].
     ///
+    /// An attached pipeline sweep scores retired instructions one at a
+    /// time, which only the interpreter feeds it; with one attached this
+    /// runs [`Machine::run`] instead.
+    ///
     /// # Errors
     ///
     /// Returns the first [`SimError`] the program raises.
@@ -562,6 +567,9 @@ impl Machine {
         fuel: u64,
         sink: &mut impl AccessSink,
     ) -> Result<StopReason, SimError> {
+        if self.sweep.is_some() {
+            return self.run(fuel, sink);
+        }
         // Take the engine out of `self` so it and the machine can be
         // borrowed disjointly; the cache persists across calls.
         let mut eng = match self.engine.take() {

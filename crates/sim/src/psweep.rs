@@ -308,6 +308,18 @@ loop:   subi r3, r3, 1
     }
 
     #[test]
+    fn both_engines_feed_an_attached_sweep() {
+        for isa in Isa::ALL {
+            let (_, interp) = sweep_of(isa, LOOP);
+            let mut m = Machine::load(&build(isa, &[LOOP]).expect("assemble/link"));
+            m.attach_pipeline_sweep(PipelineSweep::new());
+            m.run_with(crate::Engine::Blocks, 1_000_000, &mut NullSink).expect("run");
+            let blocks = m.take_pipeline_sweep().expect("attached").finish();
+            assert_eq!(blocks, interp, "{isa}");
+        }
+    }
+
+    #[test]
     fn deeper_pipelines_cost_more_on_branchy_code() {
         let (_, sweep) = sweep_of(Isa::D16, LOOP);
         let c5 = sweep.cell(5, Predictor::None).expect("cell").cycles;

@@ -151,6 +151,9 @@ gate_store() {
     cmp "$tmp/m_cold.json" "$tmp/m_warm.json"
     cmp "$tmp/cold.txt" results.txt
     grep -q ' 0 misses' "$tmp/err_warm.txt"
+    # Nothing recomputed on the warm run may be committed either: every
+    # result rides in a stored record.
+    grep -q ' 0 writes' "$tmp/err_warm.txt"
     step "store: warm run at least 3x faster (cold ${cold_ns}ns, warm ${warm_ns}ns)"
     [ $((warm_ns * 3)) -le "$cold_ns" ]
     step "store: corrupt one entry; third run recomputes and still matches"
